@@ -8,12 +8,16 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"faulthound/internal/campaign"
 	"faulthound/internal/fault"
 	"faulthound/internal/harness"
 	"faulthound/internal/obs"
+	"faulthound/internal/pipeline"
 	"faulthound/internal/scheme"
 )
 
@@ -25,6 +29,15 @@ func testSpec(t *testing.T, injections int) (campaign.Spec, harness.Options) {
 	spec := o.CampaignSpec([]string{"bzip2"}, []harness.Scheme{harness.FaultHound})
 	spec.RunID = "test-run"
 	spec.Fault.Injections = injections
+	return spec, o
+}
+
+// multiSpec is testSpec over several kernels: len(benches) ×
+// {baseline, faulthound} cells.
+func multiSpec(t *testing.T, benches []string, injections int) (campaign.Spec, harness.Options) {
+	t.Helper()
+	spec, o := testSpec(t, injections)
+	spec.Benchmarks = benches
 	return spec, o
 }
 
@@ -45,29 +58,156 @@ func readFile(t *testing.T, path string) []byte {
 
 // TestWorkerCountInvariance is the determinism guarantee: the same spec
 // produces byte-identical results.csv and summary.json bundles whether
-// one worker or many execute it.
+// one worker or many execute it. In the many-cell case, workers prepare
+// cells ahead of the one being injected.
 func TestWorkerCountInvariance(t *testing.T) {
-	spec, o := testSpec(t, 24)
-	var bundles [][]byte
-	for _, workers := range []int{1, 4} {
-		dir := filepath.Join(t.TempDir(), "run")
-		s := spec
-		s.Workers = workers
-		if _, err := runEngine(t, s, o, dir, false, nil); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		benches    []string
+		injections int
+		workers    []int
+	}{
+		{[]string{"bzip2"}, 24, []int{1, 4}},
+		{[]string{"bzip2", "mcf", "gamess", "ocean"}, 8, []int{1, 2, 4}},
+	} {
+		spec, o := multiSpec(t, tc.benches, tc.injections)
+		var ref [2][]byte
+		for _, workers := range tc.workers {
+			dir := filepath.Join(t.TempDir(), "run")
+			s := spec
+			s.Workers = workers
+			if _, err := runEngine(t, s, o, dir, false, nil); err != nil {
+				t.Fatal(err)
+			}
+			// summary.json must match too (aggregates of the same results).
+			got := [2][]byte{
+				readFile(t, filepath.Join(dir, campaign.ResultsName)),
+				readFile(t, filepath.Join(dir, campaign.SummaryName)),
+			}
+			if ref[0] == nil {
+				ref = got
+				continue
+			}
+			if string(got[0]) != string(ref[0]) {
+				t.Fatalf("%v: results.csv differs between -workers 1 and -workers %d", tc.benches, workers)
+			}
+			if string(got[1]) != string(ref[1]) {
+				t.Fatalf("%v: summary.json differs between -workers 1 and -workers %d", tc.benches, workers)
+			}
 		}
-		bundles = append(bundles, readFile(t, filepath.Join(dir, campaign.ResultsName)))
-		// summary.json must match too (aggregates of the same results).
-		bundles = append(bundles, readFile(t, filepath.Join(dir, campaign.SummaryName)))
+		if len(ref[0]) == 0 {
+			t.Fatal("empty results.csv")
+		}
 	}
-	if string(bundles[0]) != string(bundles[2]) {
-		t.Fatal("results.csv differs between -workers 1 and -workers 4")
+}
+
+// TestResumeSkipsJournaledCell: a cell whose every injection is already
+// journaled has no outstanding task, so no worker may prepare it, not
+// even one preparing ahead while it waits on another cell.
+func TestResumeSkipsJournaledCell(t *testing.T) {
+	spec, o := multiSpec(t, []string{"bzip2", "mcf", "gamess"}, 4)
+	spec.Workers = 4
+	refDir := filepath.Join(t.TempDir(), "ref")
+	if _, err := runEngine(t, spec, o, refDir, false, nil); err != nil {
+		t.Fatal(err)
 	}
-	if string(bundles[1]) != string(bundles[3]) {
-		t.Fatal("summary.json differs between -workers 1 and -workers 4")
+
+	// A run directory whose journal holds exactly cell 0's records.
+	cells := spec.Cells()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, campaign.ManifestName), readFile(t, filepath.Join(refDir, campaign.ManifestName)), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if len(bundles[0]) == 0 {
-		t.Fatal("empty results.csv")
+	var kept []string
+	for _, line := range strings.SplitAfter(string(readFile(t, filepath.Join(refDir, campaign.JournalName))), "\n") {
+		var r campaign.Record
+		if json.Unmarshal([]byte(line), &r) == nil && r.Bench == cells[0].Bench && r.Scheme == cells[0].Scheme.String() {
+			kept = append(kept, line)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, campaign.JournalName), []byte(strings.Join(kept, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	seen := map[campaign.Cell]int{}
+	eng := &campaign.Engine{
+		Spec:    spec,
+		Factory: o.CampaignFactory(),
+		Prepare: func(c campaign.Cell, mk func() *pipeline.Core, cfg fault.Config) (*fault.Prepared, error) {
+			mu.Lock()
+			seen[c]++
+			mu.Unlock()
+			return fault.Prepare(mk, cfg)
+		},
+	}
+	out, err := eng.Run(context.Background(), dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Resumed != spec.Fault.Injections {
+		t.Fatalf("resumed %d results, want cell 0's %d", out.Resumed, spec.Fault.Injections)
+	}
+	if seen[cells[0]] != 0 {
+		t.Fatalf("fully journaled cell %s was prepared", cells[0])
+	}
+	for _, c := range cells[1:] {
+		if seen[c] != 1 {
+			t.Fatalf("cell %s prepared %d times, want 1", c, seen[c])
+		}
+	}
+	if string(readFile(t, filepath.Join(dir, campaign.ResultsName))) !=
+		string(readFile(t, filepath.Join(refDir, campaign.ResultsName))) {
+		t.Fatal("resumed results.csv differs from the uninterrupted run")
+	}
+}
+
+// TestCancelStopsPrepareAhead: a drain must not go on preparing the
+// rest of the plan. The run is cancelled after its first completed
+// injection; a worker may at most finish the claim it made before the
+// cancel, so no more than Workers Prepare calls start after it. Four
+// workers take the first four tasks, two each of cells 0 and 1.
+// Prepares of every cell but cell 0 block until the cancel, and cell
+// 1's is held a while longer, so the cell-1 worker that did not claim
+// cell 1 is still waiting on it, and looking for cells to prepare,
+// when the cancel lands.
+func TestCancelStopsPrepareAhead(t *testing.T) {
+	spec, o := multiSpec(t, []string{"bzip2", "mcf", "gamess", "ocean", "perl", "astar"}, 2)
+	spec.Workers = 4
+	cells := spec.Cells()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var (
+		cancelled atomic.Bool
+		after     atomic.Int32
+	)
+	eng := &campaign.Engine{
+		Spec:    spec,
+		Factory: o.CampaignFactory(),
+		Progress: func(done, total int) {
+			cancelled.Store(true)
+			cancel()
+		},
+		Prepare: func(c campaign.Cell, mk func() *pipeline.Core, cfg fault.Config) (*fault.Prepared, error) {
+			if cancelled.Load() {
+				after.Add(1)
+			}
+			if c != cells[0] {
+				<-ctx.Done()
+			}
+			if c == cells[1] {
+				hold := time.Now().Add(500 * time.Millisecond)
+				for time.Now().Before(hold) && after.Load() <= int32(spec.Workers) {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			return fault.Prepare(mk, cfg)
+		},
+	}
+	if _, err := eng.Run(ctx, "", false); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	if n := after.Load(); n > int32(spec.Workers) {
+		t.Fatalf("%d Prepare calls started after the cancel, want at most %d", n, spec.Workers)
 	}
 }
 
@@ -359,7 +499,9 @@ func TestCellSeedDecorrelation(t *testing.T) {
 // TestEngineObs runs a multi-worker campaign with a recording sink and
 // checks the lifecycle stream: every track has matched begin/end span
 // pairs, every injection span ends with a valid outcome, tracks stay
-// within the worker pool, and the span count matches the campaign size.
+// within the worker pool, the injection span count matches the
+// campaign size, every cell has exactly one prepare span, and no
+// prepare-wait span nests inside a prepare.
 func TestEngineObs(t *testing.T) {
 	spec, o := testSpec(t, 16)
 	spec.Workers = 4
@@ -373,13 +515,24 @@ func TestEngineObs(t *testing.T) {
 
 	valid := map[string]bool{"masked": true, "noisy": true, "sdc": true}
 	open := map[int][]string{}
-	injections, prepares := 0, 0
+	injections := 0
+	prepares := map[string]int{}
 	for i, ev := range rec.Events() {
 		if ev.Track < 0 || ev.Track >= spec.Workers {
 			t.Fatalf("event %d on track %d, worker pool is %d", i, ev.Track, spec.Workers)
 		}
 		switch ev.Kind {
 		case obs.KindBegin:
+			if ev.Name == "prepare-wait" {
+				for _, name := range open[ev.Track] {
+					if name == "prepare" {
+						t.Fatalf("event %d: prepare-wait nested inside a prepare on track %d", i, ev.Track)
+					}
+				}
+			}
+			if ev.Name == "prepare" {
+				prepares[ev.Arg]++
+			}
 			open[ev.Track] = append(open[ev.Track], ev.Name)
 		case obs.KindEnd:
 			stack := open[ev.Track]
@@ -393,8 +546,6 @@ func TestEngineObs(t *testing.T) {
 				if !valid[ev.Arg] {
 					t.Fatalf("injection span ended with outcome %q", ev.Arg)
 				}
-			case "prepare":
-				prepares++
 			}
 		}
 	}
@@ -406,7 +557,12 @@ func TestEngineObs(t *testing.T) {
 	if injections != total {
 		t.Fatalf("saw %d injection spans, want %d", injections, total)
 	}
-	if prepares != len(out.Cells) {
-		t.Fatalf("saw %d prepare spans, want %d", prepares, len(out.Cells))
+	if len(prepares) != len(out.Cells) {
+		t.Fatalf("saw prepare spans for %d cells, want %d", len(prepares), len(out.Cells))
+	}
+	for _, c := range out.Cells {
+		if n := prepares[c.String()]; n != 1 {
+			t.Fatalf("cell %s has %d prepare spans, want 1", c, n)
+		}
 	}
 }

@@ -54,7 +54,10 @@ type Engine struct {
 	// cumulative completed count (including journal-resumed results)
 	// and the campaign total.
 	Progress func(done, total int)
-	// OnCell is called when a cell's golden-run preparation starts.
+	// OnCell is called when a cell's golden-run preparation starts, from
+	// whichever worker claimed the cell. A worker may prepare ahead, so
+	// calls follow claim order, not cell order, and a call can come
+	// while an earlier cell is still preparing.
 	OnCell func(c Cell)
 	// Prepare overrides the golden-run preparation of a cell; nil means
 	// fault.Prepare. Long-lived callers (the campaign-serving daemon)
@@ -65,11 +68,13 @@ type Engine struct {
 	// skipped during resume); nil logs them to os.Stderr.
 	Warnf func(format string, args ...any)
 	// Obs receives injection-lifecycle events: a "prepare" span around
-	// each cell's golden phase, an "injection" span around every faulty
-	// run (End carries the outcome, or "cancelled" on abort), and the
-	// per-run instants emitted by fault.RunOneObs ("inject", detector
-	// actions, "detect"). Events are stamped with the worker index as
-	// their track. Nil disables instrumentation entirely.
+	// each cell's golden phase, a "prepare-wait" span while a worker
+	// blocks on a cell another worker is preparing (arg: that cell), an
+	// "injection" span around every faulty run (End carries the
+	// outcome, or "cancelled" on abort), and the per-run instants
+	// emitted by fault.RunOneObs ("inject", detector actions,
+	// "detect"). Events are stamped with the worker index as their
+	// track. Nil disables instrumentation entirely.
 	Obs obs.Sink
 }
 
@@ -98,12 +103,15 @@ type Outcome struct {
 	Dir string
 }
 
-// cellState is one cell's lazily-prepared golden run. Preparation
-// happens under once when the first worker picks a task of the cell;
-// after prepare returns, prepared is read-only and shared by every
-// worker (see fault.Prepared).
+// cellState is one cell's lazily-prepared golden run. Exactly one
+// worker claims the cell (claimed is guarded by the engine's mutex) and
+// prepares it: either the first worker to pick a task of the cell or
+// one preparing ahead while its own cell is still being prepared. ready
+// closes when prepare returns; after that, prepared and err are
+// read-only and prepared is shared by every worker (see fault.Prepared).
 type cellState struct {
-	once     sync.Once
+	claimed  bool
+	ready    chan struct{}
 	prepared *fault.Prepared
 	err      error
 }
@@ -249,13 +257,15 @@ func (e *Engine) Run(ctx context.Context, dir string, resume bool) (*Outcome, er
 	}
 
 	// Enumerate outstanding tasks cell-major: workers converge on one
-	// cell's injections while the next cell's preparation overlaps with
-	// the current cell's tail.
+	// cell's injections, and a worker that reaches a cell another worker
+	// is still preparing prepares a later cell meanwhile (see await).
 	var tasks []task
+	hasWork := make([]bool, len(cells))
 	for ci := range cells {
 		for i := 0; i < nInj; i++ {
 			if !have[ci][i] {
 				tasks = append(tasks, task{ci, i})
+				hasWork[ci] = true
 			}
 		}
 	}
@@ -263,7 +273,7 @@ func (e *Engine) Run(ctx context.Context, dir string, resume bool) (*Outcome, er
 
 	states := make([]*cellState, len(cells))
 	for i := range states {
-		states[i] = &cellState{}
+		states[i] = &cellState{ready: make(chan struct{})}
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
@@ -272,6 +282,8 @@ func (e *Engine) Run(ctx context.Context, dir string, resume bool) (*Outcome, er
 		mu       sync.Mutex
 		firstErr error
 		done     = total - len(tasks)
+		// next is the lowest cell index that may still be unclaimed.
+		next int
 	)
 	fail := func(err error) {
 		mu.Lock()
@@ -282,47 +294,90 @@ func (e *Engine) Run(ctx context.Context, dir string, resume bool) (*Outcome, er
 		cancel()
 	}
 
-	// prepare runs a cell's golden phase exactly once and journals its
-	// fault-free FP rate. The span lands on the track of whichever
-	// worker won the once — the one that actually paid the golden run.
-	prepare := func(ci int, sink obs.Sink) *cellState {
+	// prepare runs the golden phase of cell ci, which the calling worker
+	// has claimed, journals its fault-free FP rate, and closes the
+	// cell's ready channel. The span lands on the claiming worker's
+	// track — the one that actually paid the golden run.
+	prepare := func(ci int, sink obs.Sink) {
 		st := states[ci]
-		st.once.Do(func() {
-			c := cells[ci]
-			began := obs.Begin(sink, "prepare", c.String())
-			defer func() { obs.End(sink, "prepare", began, "") }()
-			if e.OnCell != nil {
-				mu.Lock()
-				e.OnCell(c)
-				mu.Unlock()
-			}
-			mk, err := e.Factory(c.Bench, c.Scheme)
-			if err != nil {
-				st.err = fmt.Errorf("campaign: %s: %w", c, err)
-				return
-			}
-			prep := e.Prepare
-			if prep == nil {
-				prep = func(_ Cell, mk func() *pipeline.Core, cfg fault.Config) (*fault.Prepared, error) {
-					return fault.Prepare(mk, cfg)
-				}
-			}
-			p, err := prep(c, mk, e.Spec.Fault)
-			if err != nil {
-				st.err = fmt.Errorf("campaign: %s: %w", c, err)
-				return
-			}
-			st.prepared = p
+		defer close(st.ready)
+		c := cells[ci]
+		began := obs.Begin(sink, "prepare", c.String())
+		defer func() { obs.End(sink, "prepare", began, "") }()
+		if e.OnCell != nil {
 			mu.Lock()
-			fpRates[ci], fpKnown[ci] = p.FPRate(), true
+			e.OnCell(c)
 			mu.Unlock()
-			if journal != nil {
-				if err := journal.Append(Record{Kind: "prep", Bench: c.Bench, Scheme: c.Scheme.String(), FPRate: p.FPRate()}); err != nil {
-					st.err = err
-				}
+		}
+		mk, err := e.Factory(c.Bench, c.Scheme)
+		if err != nil {
+			st.err = fmt.Errorf("campaign: %s: %w", c, err)
+			return
+		}
+		prep := e.Prepare
+		if prep == nil {
+			prep = func(_ Cell, mk func() *pipeline.Core, cfg fault.Config) (*fault.Prepared, error) {
+				return fault.Prepare(mk, cfg)
 			}
-		})
-		return st
+		}
+		p, err := prep(c, mk, e.Spec.Fault)
+		if err != nil {
+			st.err = fmt.Errorf("campaign: %s: %w", c, err)
+			return
+		}
+		st.prepared = p
+		mu.Lock()
+		fpRates[ci], fpKnown[ci] = p.FPRate(), true
+		mu.Unlock()
+		if journal != nil {
+			if err := journal.Append(Record{Kind: "prep", Bench: c.Bench, Scheme: c.Scheme.String(), FPRate: p.FPRate()}); err != nil {
+				st.err = err
+			}
+		}
+	}
+
+	// await returns cell ci's state once it is prepared, or nil once the
+	// run is cancelled. An unclaimed cell is claimed and prepared by the
+	// caller. While another worker prepares it, the caller claims and
+	// prepares the lowest-numbered unclaimed cell that still has
+	// outstanding tasks, so prepares run side by side instead of one
+	// worker idling on another's; it blocks (a "prepare-wait" span) only
+	// when nothing is left to claim.
+	await := func(ci int, sink obs.Sink) *cellState {
+		st := states[ci]
+		for {
+			select {
+			case <-st.ready:
+				return st
+			default:
+			}
+			mu.Lock()
+			if runCtx.Err() != nil {
+				mu.Unlock()
+				return nil
+			}
+			claim := ci
+			if st.claimed {
+				for next < len(cells) && (states[next].claimed || !hasWork[next]) {
+					next++
+				}
+				claim = next
+			}
+			if claim < len(cells) {
+				states[claim].claimed = true
+			}
+			mu.Unlock()
+			if claim < len(cells) {
+				prepare(claim, sink)
+				continue
+			}
+			began := obs.Begin(sink, "prepare-wait", cells[ci].String())
+			select {
+			case <-st.ready:
+			case <-runCtx.Done():
+			}
+			obs.End(sink, "prepare-wait", began, "")
+		}
 	}
 
 	workers := e.Spec.WorkerCount()
@@ -343,7 +398,10 @@ func (e *Engine) Run(ctx context.Context, dir string, resume bool) (*Outcome, er
 			// golden state just falls back to fresh allocation once).
 			arena := pipeline.NewSnapshotArena()
 			for t := range taskCh {
-				st := prepare(t.cell, wsink)
+				st := await(t.cell, wsink)
+				if st == nil {
+					return
+				}
 				if st.err != nil {
 					fail(st.err)
 					return
