@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race bench bench-json report gates campaign serve smoke-server smoke-cluster smoke-wgen smoke-optimize trace-demo experiments extensions quick clean
+.PHONY: all build test vet lint race bench bench-json report gates check-results campaign serve smoke-server smoke-cluster smoke-wgen smoke-optimize trace-demo experiments extensions quick clean
 
 all: lint test build
 
@@ -41,8 +41,8 @@ report:
 
 # The CI release gates, runnable locally: contract validation over
 # every committed artifact, the quality-report drift gate, the
-# self-diff sanity check, and the bench-gate positive/negative
-# controls (docs/CONTRACTS.md).
+# self-diff sanity check, the bench-gate positive/negative
+# controls (docs/CONTRACTS.md), and the extension-results drift gate.
 gates:
 	$(GO) run ./cmd/fhreport validate results/campaigns/reference-1k \
 		results/bench/BENCH_simcore.json \
@@ -55,6 +55,13 @@ gates:
 	cmp /tmp/fh-gate-regen/quality.md results/campaigns/reference-1k/report/quality.md
 	$(GO) run ./cmd/fhreport diff results/campaigns/reference-1k results/campaigns/reference-1k
 	./scripts/check_bench_gate.sh
+	GO=$(GO) ./scripts/check_results.sh /tmp/fh-check-results
+
+# Extension-results drift gate: regenerate results_ext.txt and
+# results_mp.txt into a scratch directory and require both to match
+# the committed files byte for byte (~30 s).
+check-results:
+	GO=$(GO) ./scripts/check_results.sh /tmp/fh-check-results
 
 # Parallel, resumable fault-injection campaign with an artifact bundle.
 campaign:
@@ -108,9 +115,10 @@ bench-json:
 experiments:
 	$(GO) run ./cmd/faulthound -experiment all -commits 60000 -injections 600 -csv results -json results | tee results_all.txt
 
+# Regenerate results_ext.txt and results_mp.txt in place; the flags
+# live in scripts/check_results.sh, shared with `make check-results`.
 extensions:
-	$(GO) run ./cmd/faulthound -experiment extensions -commits 30000 -injections 400 | tee results_ext.txt
-	$(GO) run ./cmd/faulthound -experiment mp-scaling -commits 30000 | tee results_mp.txt
+	GO=$(GO) ./scripts/check_results.sh .
 
 # Smoke-scale versions of the experiments (a couple of minutes).
 quick:

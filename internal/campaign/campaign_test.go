@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -58,8 +59,9 @@ func readFile(t *testing.T, path string) []byte {
 
 // TestWorkerCountInvariance is the determinism guarantee: the same spec
 // produces byte-identical results.csv and summary.json bundles whether
-// one worker or many execute it. In the many-cell case, workers prepare
-// cells ahead of the one being injected.
+// one worker or many execute it, and every cell's results equal the
+// serial one-cell reference fault.Run. In the many-cell case, workers
+// prepare cells ahead of the one being injected.
 func TestWorkerCountInvariance(t *testing.T) {
 	for _, tc := range []struct {
 		benches    []string
@@ -70,13 +72,31 @@ func TestWorkerCountInvariance(t *testing.T) {
 		{[]string{"bzip2", "mcf", "gamess", "ocean"}, 8, []int{1, 2, 4}},
 	} {
 		spec, o := multiSpec(t, tc.benches, tc.injections)
+		var serial []*fault.Campaign
+		for _, c := range spec.Cells() {
+			mk, err := o.CampaignFactory()(c.Bench, c.Scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			camp, err := fault.Run(mk, spec.Fault)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial = append(serial, camp)
+		}
 		var ref [2][]byte
 		for _, workers := range tc.workers {
 			dir := filepath.Join(t.TempDir(), "run")
 			s := spec
 			s.Workers = workers
-			if _, err := runEngine(t, s, o, dir, false, nil); err != nil {
+			out, err := runEngine(t, s, o, dir, false, nil)
+			if err != nil {
 				t.Fatal(err)
+			}
+			for ci, camp := range out.Campaigns {
+				if !reflect.DeepEqual(camp.Results, serial[ci].Results) {
+					t.Fatalf("%v -workers %d: cell %s differs from the serial fault.Run reference", tc.benches, workers, out.Cells[ci])
+				}
 			}
 			// summary.json must match too (aggregates of the same results).
 			got := [2][]byte{
@@ -97,6 +117,19 @@ func TestWorkerCountInvariance(t *testing.T) {
 		if len(ref[0]) == 0 {
 			t.Fatal("empty results.csv")
 		}
+	}
+}
+
+// TestEngineRunCancelled: a run on an already-cancelled context returns
+// context.Canceled instead of hanging or reporting partial results as
+// success.
+func TestEngineRunCancelled(t *testing.T) {
+	spec, o := testSpec(t, 8)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	eng := &campaign.Engine{Spec: spec, Factory: o.CampaignFactory()}
+	if out, err := eng.Run(ctx, "", false); err != context.Canceled || out != nil {
+		t.Fatalf("Run on cancelled ctx = (%v, %v), want (nil, context.Canceled)", out, err)
 	}
 }
 

@@ -72,7 +72,7 @@ type Engine struct {
 	// blocks on a cell another worker is preparing (arg: that cell), an
 	// "injection" span around every faulty run (End carries the
 	// outcome, or "cancelled" on abort), and the per-run instants
-	// emitted by fault.RunOneObs ("inject", detector actions,
+	// emitted by fault.Prepared.Run ("inject", detector actions,
 	// "detect"). Events are stamped with the worker index as their
 	// track. Nil disables instrumentation entirely.
 	Obs obs.Sink
@@ -406,11 +406,11 @@ func (e *Engine) Run(ctx context.Context, dir string, resume bool) (*Outcome, er
 					fail(st.err)
 					return
 				}
-				// RunOneObsArena polls runCtx inside the faulty run, so a
+				// Prepared.Run polls runCtx inside the faulty run, so a
 				// drain (SIGTERM) aborts promptly even mid-injection;
 				// the partial injection is simply not journaled.
 				began := obs.Begin(wsink, "injection", cells[t.cell].String())
-				res, rerr := st.prepared.RunOneObsArena(runCtx, injs[t.inj], wsink, arena)
+				res, rerr := st.prepared.Run(runCtx, injs[t.inj], wsink, arena)
 				if rerr != nil {
 					obs.End(wsink, "injection", began, "cancelled")
 					return

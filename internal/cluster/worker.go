@@ -86,7 +86,7 @@ func (w *Worker) Handler() http.Handler {
 // The response is written incrementally: one JSON line per prep/result,
 // "ping" keepalives while the golden preparation runs, and a final
 // "done" (or "error") line. The client disconnecting cancels the shard
-// via the request context (fault.RunOneArena polls it mid-injection).
+// via the request context (fault.Prepared.Run polls it mid-injection).
 func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	var req ShardRequest
 	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, 1<<20))
@@ -174,7 +174,7 @@ wait:
 	injs := prep.p.Injections()
 	arena := pipeline.NewSnapshotArena()
 	for i := req.From; i < req.To; i++ {
-		res, err := prep.p.RunOneArena(r.Context(), injs[i], arena)
+		res, err := prep.p.Run(r.Context(), injs[i], nil, arena)
 		if err != nil {
 			// Client gone or shutting down; nothing useful to send.
 			return

@@ -240,7 +240,7 @@ func (c *Campaign) Classification() (masked, noisy, sdc int) {
 // detector's false-positive background, and (when enabled) the
 // golden-checkpoint ring and reconvergence digests. Every field except
 // the atomic perf counters is read-only after Prepare returns, so any
-// number of goroutines may call RunOne concurrently — each injection
+// number of goroutines may call Run concurrently — each injection
 // clones the shared golden core and mutates only its own clone.
 type Prepared struct {
 	cfg    Config
@@ -305,7 +305,7 @@ const digestCadence = 16
 // fast-forward, pipeline warmup, and the golden hash/background trace
 // over the injection spread plus run window. mk must build a fresh,
 // deterministic core (program + detector). The returned Prepared is
-// immutable and safe for concurrent RunOne calls.
+// immutable and safe for concurrent Prepared.Run calls.
 func Prepare(mk func() *pipeline.Core, cfg Config) (*Prepared, error) {
 	golden := mk()
 	golden.WarmDetector(cfg.DetectorWarmupInstr)
@@ -433,17 +433,6 @@ func (p *Prepared) Injections() []Injection { return p.injs }
 // traced window.
 func (p *Prepared) FPRate() float64 { return p.fpRate }
 
-// NewArena returns a snapshot arena for this campaign's golden core.
-// An arena makes successive runs on the same goroutine nearly
-// allocation-free: the faulty core's containers, detector tables, and
-// cache tags are rebuilt in place, and its memory is a copy-on-write
-// overlay over the immutable golden image instead of an eager copy.
-// Each arena serves one goroutine at a time; give every worker its
-// own.
-func (p *Prepared) NewArena() *pipeline.SnapshotArena {
-	return pipeline.NewSnapshotArena()
-}
-
 // Perf aggregates the replay-acceleration effect over every run so far
 // on one Prepared: how much pre-injection fast-forwarding checkpoint
 // forking removed and how many runs reconvergence early-exit cut
@@ -478,7 +467,7 @@ func (pf Perf) ForkSavedFrac() float64 {
 	return float64(pf.ForkCyclesSaved) / float64(pf.OffsetCycles)
 }
 
-// perfCounters is Perf's concurrent-update form: RunOne callers on any
+// perfCounters is Perf's concurrent-update form: Run callers on any
 // number of goroutines add to it without coordination.
 type perfCounters struct {
 	runs            atomic.Uint64
@@ -497,54 +486,13 @@ func (p *Prepared) Perf() Perf {
 	}
 }
 
-// RunOne executes one injection: it clones the shared golden core,
-// advances to the injection cycle, flips the bit, runs the window, and
-// classifies. Safe to call from multiple goroutines.
-func (p *Prepared) RunOne(inj Injection) Result {
-	res, _ := p.runOne(nil, inj, nil, nil)
-	return res
-}
-
-// RunOneCtx is RunOne with prompt cancellation: the faulty run polls
-// ctx every cancelPollSteps simulated cycles and aborts mid-injection
-// with ctx.Err() instead of running out the window (or the hang
-// watchdog) first. An uncancelled call returns exactly RunOne's result
-// — the poll is pure control flow.
-func (p *Prepared) RunOneCtx(ctx context.Context, inj Injection) (Result, error) {
-	return p.runOne(ctx, inj, nil, nil)
-}
-
-// RunOneObs is RunOneCtx with injection-lifecycle observability: when
-// sink is non-nil the faulty run emits structured events — an
-// "inject" instant at the flip (Cycle = injection cycle, Arg = the
-// structure), an instant per detector action in the window ("replay",
-// "rollback", "singleton"), and a "detect" instant at the first such
-// action (Arg = the action kind), from which sinks derive detection
-// latency in cycles. A nil sink is exactly RunOneCtx — the disabled
-// path costs one pointer test.
-func (p *Prepared) RunOneObs(ctx context.Context, inj Injection, sink obs.Sink) (Result, error) {
-	return p.runOne(ctx, inj, sink, nil)
-}
-
-// RunOneArena is RunOneCtx drawing the faulty core from arena instead
-// of a fresh deep clone. Results are bit-identical; only the
-// allocation profile changes. The arena must not be shared with a
-// concurrent call — one arena per goroutine. A nil arena falls back to
-// a deep clone.
-func (p *Prepared) RunOneArena(ctx context.Context, inj Injection, arena *pipeline.SnapshotArena) (Result, error) {
-	return p.runOne(ctx, inj, nil, arena)
-}
-
-// RunOneObsArena is RunOneObs drawing the faulty core from arena; see
-// RunOneArena for the sharing rule.
-func (p *Prepared) RunOneObsArena(ctx context.Context, inj Injection, sink obs.Sink, arena *pipeline.SnapshotArena) (Result, error) {
-	return p.runOne(ctx, inj, sink, arena)
-}
-
-// Run executes a campaign serially: mk must build a fresh,
-// deterministic core (program + detector); the same mk with the same
-// cfg yields identical results. RunParallel produces bit-identical
-// results on any worker count.
+// Run executes a campaign serially: Prepare once, then one Prepared.Run
+// per descriptor in order, each on a deep clone. mk must build a fresh, deterministic core
+// (program + detector); the same mk with the same cfg yields identical
+// results. It is the one-cell reference that tests and examples compare
+// the campaign engine against — campaign.Engine is the parallel,
+// resumable path and produces bit-identical results on any worker
+// count.
 func Run(mk func() *pipeline.Core, cfg Config) (*Campaign, error) {
 	p, err := Prepare(mk, cfg)
 	if err != nil {
@@ -552,18 +500,19 @@ func Run(mk func() *pipeline.Core, cfg Config) (*Campaign, error) {
 	}
 	camp := &Campaign{Config: cfg, Results: make([]Result, 0, len(p.injs))}
 	for _, inj := range p.injs {
-		camp.Results = append(camp.Results, p.RunOne(inj))
+		res, _ := p.Run(nil, inj, nil, nil) // a nil ctx never cancels: no error
+		camp.Results = append(camp.Results, res)
 	}
 	return camp, nil
 }
 
 // cancelPollSteps is how many simulated cycles a faulty run advances
-// between context polls in runOne. Small enough that cancellation
+// between context polls in Run. Small enough that cancellation
 // lands well inside one injection (a hung run is MaxCyclesPerRun
 // cycles), large enough that the poll is free.
 const cancelPollSteps = 512
 
-// pollCancel is the shared cancellation poll of runOne's fast-forward
+// pollCancel is the shared cancellation poll of Run's fast-forward
 // and window loops: every cancelPollSteps iterations it surfaces ctx's
 // error so a run aborts mid-injection instead of running out the
 // window. A nil ctx disables polling; an uncancelled run is untouched
@@ -599,16 +548,34 @@ func (t *actionTracer) Trace(ev pipeline.TraceEvent) {
 	}
 }
 
-// runOne forks a faulty core off the golden trace (from the nearest
+// Run executes one injection — the campaign's single injection entry
+// point. It forks a faulty core off the golden trace (from the nearest
 // checkpoint at or before the injection cycle when forking is on),
 // advances to the injection cycle, flips the bit, runs the window, and
 // classifies — exiting the window early when the faulty state provably
 // reconverges with the recorded golden trace. Every Prepared field it
-// reads is immutable; the fork is this call's private mutable state. A
-// nil ctx disables cancellation; a nil sink disables lifecycle events;
-// a non-nil arena reuses its storage for the faulty core (Snapshot
-// falls back to a deep clone when nil).
-func (p *Prepared) runOne(ctx context.Context, inj Injection, sink obs.Sink, arena *pipeline.SnapshotArena) (Result, error) {
+// reads is immutable; the fork is this call's private mutable state, so
+// any number of goroutines may call Run on one Prepared.
+//
+// The three optional arguments change only control flow, never the
+// Result:
+//   - ctx: polled every cancelPollSteps simulated cycles, so a
+//     cancelled run aborts mid-injection with ctx.Err() instead of
+//     running out the window (or the hang watchdog). Nil disables
+//     polling.
+//   - sink: receives the run's lifecycle events — an "inject" instant
+//     at the flip (Cycle = injection cycle, Arg = the structure), a
+//     "fork" instant when the run forked from a checkpoint, an instant
+//     per detector action in the window ("replay", "rollback",
+//     "singleton"), a "detect" instant at the first such action (Arg =
+//     the action kind), and an "early-exit" instant on reconvergence.
+//     Nil emits nothing; the disabled path costs one pointer test.
+//   - arena: rebuilds the faulty core in place instead of deep-cloning
+//     the golden state, making successive runs nearly allocation-free.
+//     One arena serves one goroutine at a time and survives switches
+//     between Prepareds (mismatched state falls back to fresh
+//     allocation). Nil means a deep clone.
+func (p *Prepared) Run(ctx context.Context, inj Injection, sink obs.Sink, arena *pipeline.SnapshotArena) (Result, error) {
 	cfg := p.cfg
 
 	// Fork from the nearest golden checkpoint at or before the

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"faulthound/internal/core"
+	"faulthound/internal/pipeline"
 )
 
 // legacyConfig is smallConfig with the replay-acceleration knobs off:
@@ -40,7 +41,9 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 			}
 			want := make([]Result, len(ref.Injections()))
 			for i, inj := range ref.Injections() {
-				want[i] = ref.RunOne(inj)
+				if want[i], err = ref.Run(nil, inj, nil, nil); err != nil {
+					t.Fatal(err)
+				}
 			}
 
 			for _, ckpt := range []uint64{0, 64, 256, 1024} {
@@ -55,9 +58,9 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					arena := p.NewArena()
+					arena := pipeline.NewSnapshotArena()
 					for i, inj := range p.Injections() {
-						got, err := p.RunOneArena(context.Background(), inj, arena)
+						got, err := p.Run(context.Background(), inj, nil, arena)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -83,7 +86,7 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 }
 
 // TestForkingArenaParallel drives the checkpoint-forked, early-exiting
-// path through the worker pool (one snapshot arena per goroutine,
+// path through concurrent workers (one snapshot arena per goroutine,
 // consecutive forks rebasing the arena across different checkpoint
 // origins) and asserts bit-identity with the serial legacy run. The CI
 // race job runs this under -race, pinning that checkpoint cores and
@@ -100,16 +103,14 @@ func TestForkingArenaParallel(t *testing.T) {
 	cfg := legacyConfig()
 	cfg.CheckpointCycles = 64
 	cfg.EarlyExit = true
-	camp, err := RunParallel(context.Background(), mk, cfg, 4, nil)
+	p, err := Prepare(mk, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(camp.Results) != len(ref.Results) {
-		t.Fatalf("got %d results, want %d", len(camp.Results), len(ref.Results))
-	}
+	got := runConcurrently(t, p, 4, true)
 	for i := range ref.Results {
-		if camp.Results[i] != ref.Results[i] {
-			t.Fatalf("injection %d: got %+v, want %+v", i, camp.Results[i], ref.Results[i])
+		if got[i] != ref.Results[i] {
+			t.Fatalf("injection %d: got %+v, want %+v", i, got[i], ref.Results[i])
 		}
 	}
 }

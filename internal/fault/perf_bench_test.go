@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"runtime"
 	"testing"
 
 	"faulthound/internal/core"
@@ -50,11 +49,11 @@ func benchPrepared(b *testing.B) *Prepared {
 func BenchmarkRunOne(b *testing.B) {
 	p := benchPrepared(b)
 	injs := p.Injections()
-	arena := p.NewArena()
+	arena := pipeline.NewSnapshotArena()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = p.RunOneArena(nil, injs[i%len(injs)], arena)
+		_, _ = p.Run(nil, injs[i%len(injs)], nil, arena)
 	}
 }
 
@@ -67,29 +66,27 @@ func BenchmarkRunOneDeepClone(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = p.RunOne(injs[i%len(injs)])
+		_, _ = p.Run(nil, injs[i%len(injs)], nil, nil)
 	}
 }
 
 // BenchmarkPreparedParallel measures sustained injections/sec with a
 // full GOMAXPROCS worker pool over one prepared golden run — the
 // steady-state regime of fhcampaign and fhserved, one snapshot arena
-// per worker goroutine as in fault.RunAll.
+// per worker goroutine as in campaign.Engine.
 func BenchmarkPreparedParallel(b *testing.B) {
 	p := benchPrepared(b)
 	injs := p.Injections()
-	workers := runtime.GOMAXPROCS(0)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		arena := p.NewArena()
+		arena := pipeline.NewSnapshotArena()
 		i := 0
 		for pb.Next() {
-			_, _ = p.RunOneArena(nil, injs[i%len(injs)], arena)
+			_, _ = p.Run(nil, injs[i%len(injs)], nil, arena)
 			i++
 		}
 	})
 	b.StopTimer()
-	_ = workers
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "inj/s")
 	// Acceleration quality ride-alongs, gated next to injections_per_sec
 	// in BENCH_simcore.json: the fraction of runs classified at

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"faulthound/internal/campaign"
-	"faulthound/internal/fault"
 	"faulthound/internal/pipeline"
 	"faulthound/internal/scheme"
 	"faulthound/internal/workload"
@@ -58,9 +57,15 @@ func (o Options) CampaignSpec(benchmarks []string, schemes []Scheme) campaign.Sp
 // RunCampaign executes a spec in memory (no artifact bundle) with this
 // Options' core factory, reporting per-cell progress when verbose.
 func (o Options) RunCampaign(spec campaign.Spec) (*campaign.Outcome, error) {
+	return o.runCampaign(spec, o.CampaignFactory())
+}
+
+// runCampaign is RunCampaign over an explicit core factory — the hook
+// for experiments with a harness-local cell (ExtStateDepth).
+func (o Options) runCampaign(spec campaign.Spec, factory campaign.CoreFactory) (*campaign.Outcome, error) {
 	eng := &campaign.Engine{
 		Spec:    spec,
-		Factory: o.CampaignFactory(),
+		Factory: factory,
 		OnCell:  func(c campaign.Cell) { o.progress("campaign: %s", c) },
 	}
 	return eng.Run(context.Background(), "", false)
@@ -118,11 +123,4 @@ func FPTableFromSummary(id, title string, sum *campaign.Summary, benchmarks []st
 	}
 	t.AddRow(mean...)
 	return t
-}
-
-// runPaired is the shared campaign path for experiments that need
-// paired coverage but custom core configs (the extension sweeps):
-// Prepare once, fan injections across Options.Workers.
-func (o Options) runPaired(mk func() *pipeline.Core, cfg fault.Config) (*fault.Campaign, error) {
-	return fault.RunParallel(context.Background(), mk, cfg, o.Workers, nil)
 }

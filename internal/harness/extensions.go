@@ -4,9 +4,9 @@ import (
 	"faulthound/internal/core"
 	"faulthound/internal/detect"
 	"faulthound/internal/energy"
-	"faulthound/internal/fault"
 	"faulthound/internal/filter"
 	"faulthound/internal/pipeline"
+	"faulthound/internal/scheme"
 	"faulthound/internal/workload"
 )
 
@@ -20,48 +20,35 @@ import (
 //   - Section 1: full-redundancy SRT costs "13% and 56%" in
 //     performance and energy — ExtFullSRT.
 
-// customFaultHound builds a core with a customized FaultHound config.
-func (o Options) customFaultHound(bm workload.Benchmark, cfg core.Config, threads int) (*pipeline.Core, error) {
-	pcfg := pipeline.DefaultConfig(threads)
-	programs := workload.Programs(bm, threads, o.Seed)
-	return pipeline.New(pcfg, programs, core.New(cfg))
-}
-
 // ExtFilterSize sweeps the TCAM entry count on leslie3d (the paper's
 // low-coverage outlier) and a locality-friendly reference benchmark.
+// The sweep is registry data: faulthound?tcam=8|16|32|64 expands to
+// one campaign cell per size (32 is plain faulthound), all run in one
+// campaign next to each benchmark's baseline.
 func ExtFilterSize(o Options) (*Table, error) {
 	t := &Table{
 		ID:      "ext-filters",
 		Title:   "TCAM size sensitivity: SDC coverage (Section 5.2: leslie improves with larger filters)",
 		Columns: []string{"benchmark", "8 entries", "16", "32 (paper)", "64"},
 	}
-	sizes := []int{8, 16, 32, 64}
-	for _, name := range []string{"leslie3d", "bzip2"} {
-		bm, err := workload.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		base, err := o.runPaired(o.MakeCore(bm, Baseline), o.Fault)
-		if err != nil {
-			return nil, err
-		}
+	sweep, err := scheme.Expand("faulthound?tcam=8|16|32|64")
+	if err != nil {
+		return nil, err
+	}
+	schemes := make([]Scheme, len(sweep))
+	for i, sp := range sweep {
+		schemes[i] = Scheme(sp.String())
+	}
+	benches := []string{"leslie3d", "bzip2"}
+	out, err := o.RunCampaign(o.CampaignSpec(benches, schemes))
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range benches {
 		row := []string{name}
-		for _, n := range sizes {
-			o.progress("ext-filters: %s/%d", name, n)
-			cfg := core.DefaultConfig()
-			cfg.Addr.Entries = n
-			cfg.Value.Entries = n
-			det, err := o.runPaired(func() *pipeline.Core {
-				c, e := o.customFaultHound(bm, cfg, 1)
-				if e != nil {
-					panic(e)
-				}
-				return c
-			}, o.Fault)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, pct(fault.PairCoverage(base, det).Coverage()))
+		for _, s := range schemes {
+			cov, _ := out.Summary.Coverage(name, string(s))
+			row = append(row, pct(cov))
 		}
 		t.AddRow(row...)
 	}
@@ -69,15 +56,22 @@ func ExtFilterSize(o Options) (*Table, error) {
 	return t, nil
 }
 
+// depth3 labels ExtStateDepth's three-deep biased state machine cell.
+// It is harness-local: the filter policy is not a registry parameter,
+// so the experiment's factory builds this one cell itself.
+var depth3 = scheme.Spec{Name: "faulthound-depth3"}
+
 // ExtStateDepth compares the biased two-bit machine against the
-// three-deep variant the paper rejects for its coverage cost.
+// three-deep variant the paper rejects for its coverage cost. The
+// baseline, faulthound (two-bit) and depth-3 cells run in one
+// campaign; the false-positive columns come from a fault-free timing
+// run of each cell's core.
 func ExtStateDepth(o Options) (*Table, error) {
 	t := &Table{
 		ID:      "ext-depth",
 		Title:   "Biased state machine depth: coverage and false positives (Section 3: 2-bit vs 3-bit)",
 		Columns: []string{"benchmark", "cov depth-2", "cov depth-3", "fp depth-2", "fp depth-3"},
 	}
-	policies := []filter.Policy{filter.Biased2, filter.Biased3}
 	bms, err := o.benchmarks()
 	if err != nil {
 		return nil, err
@@ -85,35 +79,47 @@ func ExtStateDepth(o Options) (*Table, error) {
 	if len(bms) > 3 {
 		bms = bms[:3]
 	}
-	for _, bm := range bms {
-		base, err := o.runPaired(o.MakeCore(bm, Baseline), o.Fault)
+	benches := make([]string, len(bms))
+	for i, bm := range bms {
+		benches[i] = bm.Name
+	}
+	registry := o.CampaignFactory()
+	factory := func(bench string, sp scheme.Spec) (func() *pipeline.Core, error) {
+		if sp != depth3 {
+			return registry(bench, sp)
+		}
+		bm, err := workload.Resolve(bench)
 		if err != nil {
 			return nil, err
 		}
-		row := []string{bm.Name}
-		var covs, fps []string
-		for _, pol := range policies {
-			o.progress("ext-depth: %s/%v", bm.Name, pol)
-			cfg := core.DefaultConfig()
-			cfg.Addr.Policy = pol
-			cfg.Value.Policy = pol
-			det, err := o.runPaired(func() *pipeline.Core {
-				c, e := o.customFaultHound(bm, cfg, 1)
-				if e != nil {
-					panic(e)
-				}
-				return c
-			}, o.Fault)
+		cfg := core.DefaultConfig()
+		cfg.Addr.Policy, cfg.Value.Policy = filter.Biased3, filter.Biased3
+		return func() *pipeline.Core {
+			c, err := pipeline.New(pipeline.DefaultConfig(1), workload.Programs(bm, 1, o.Seed), core.New(cfg))
+			if err != nil {
+				panic(err)
+			}
+			return c
+		}, nil
+	}
+	schemes := []Scheme{FaultHound, Scheme(depth3.String())}
+	out, err := o.runCampaign(o.CampaignSpec(benches, schemes), factory)
+	if err != nil {
+		return nil, err
+	}
+	for _, bench := range benches {
+		row := []string{bench}
+		var fps []string
+		for _, s := range schemes {
+			cov, _ := out.Summary.Coverage(bench, string(s))
+			row = append(row, pct(cov))
+
+			// False positives from a fault-free run of the same core.
+			mk, err := factory(bench, scheme.FromString(string(s)))
 			if err != nil {
 				return nil, err
 			}
-			covs = append(covs, pct(fault.PairCoverage(base, det).Coverage()))
-
-			// False positives from a fault-free run with the same config.
-			c, e := o.customFaultHound(bm, cfg, 1)
-			if e != nil {
-				return nil, e
-			}
+			c := mk()
 			c.WarmDetector(o.DetectorWarmupInstr)
 			c.Run(o.WarmupCycles)
 			ds0 := c.DetectorStats()
@@ -124,9 +130,7 @@ func ExtStateDepth(o Options) (*Table, error) {
 			fps = append(fps, pct(float64(ds.Replays+ds.Rollbacks+ds.Singletons-
 				ds0.Replays-ds0.Rollbacks-ds0.Singletons)/denom))
 		}
-		row = append(row, covs...)
-		row = append(row, fps...)
-		t.AddRow(row...)
+		t.AddRow(append(row, fps...)...)
 	}
 	t.Notes = append(t.Notes, "paper: deeper bias trades coverage (80% -> 60%) for fewer false positives")
 	return t, nil

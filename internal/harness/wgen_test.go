@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -117,20 +116,15 @@ func TestReplayDifferential(t *testing.T) {
 func TestGeneratedWorkloadWorkerDeterminism(t *testing.T) {
 	o := QuickOptions()
 	o.Fault.Injections = 40
-	bm, err := workload.Resolve("gen?stride=64,seg=16k,plant=2")
-	if err != nil {
-		t.Fatal(err)
+	run := func(workers int) []*fault.Campaign {
+		o.Workers = workers
+		out, err := o.RunCampaign(o.CampaignSpec([]string{"gen?stride=64,seg=16k,plant=2"}, []Scheme{FaultHound}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.Campaigns
 	}
-	mk := o.MakeCore(bm, FaultHound)
-	serial, err := fault.RunParallel(context.Background(), mk, o.Fault, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := fault.RunParallel(context.Background(), mk, o.Fault, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial.Results, par.Results) {
+	if !reflect.DeepEqual(run(1), run(4)) {
 		t.Fatal("worker count changed generated-workload campaign results")
 	}
 }

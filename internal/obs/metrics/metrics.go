@@ -4,8 +4,7 @@
 // by label string) so /metrics output is stable and testable. It is
 // stdlib-only by design — the repo bakes in no dependencies — and
 // implements just the exposition-format subset the daemon and CLIs
-// need. internal/server/metrics aliases this package for backwards
-// compatibility.
+// need.
 package metrics
 
 import (

@@ -7,7 +7,7 @@
 // fhcampaign invocation produces a file loadable in ui.perfetto.dev.
 //
 // Everything is opt-in and nil-safe by convention: producers
-// (fault.RunOneObs, campaign.Engine) skip all instrumentation when
+// (fault.Prepared.Run, campaign.Engine) skip all instrumentation when
 // their sink is nil, keeping the disabled path free. Sinks must be
 // safe for concurrent use; the campaign engine stamps each event with
 // the emitting worker's index as Track. See docs/OBSERVABILITY.md for

@@ -121,14 +121,14 @@ func (r *Replayer) CellLatencies(bench, schemeSpec string, detected []int) ([]ui
 	}
 
 	injs := p.Injections()
-	arena := p.NewArena()
+	arena := pipeline.NewSnapshotArena()
 	samples := make([]uint64, 0, len(detected))
 	for _, idx := range detected {
 		if idx < 0 || idx >= len(injs) {
 			return nil, false, fmt.Errorf("detected index %d outside the %d drawn descriptors", idx, len(injs))
 		}
 		rec := &Recorder{}
-		res, err := p.RunOneObsArena(context.Background(), injs[idx], rec, arena)
+		res, err := p.Run(context.Background(), injs[idx], rec, arena)
 		if err != nil {
 			return nil, false, err
 		}

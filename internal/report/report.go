@@ -12,7 +12,7 @@
 // Detection latency is not recorded in results.csv; it is re-derived
 // through the obs layer by replaying exactly the detected injections
 // from the bundle's manifest spec and capturing the "inject"/"detect"
-// instants fault.RunOneObs emits (see Replayer). Replay is
+// instants fault.Prepared.Run emits (see Replayer). Replay is
 // deterministic, so the report is a pure function of the bundle — the
 // golden test and the CI drift gate depend on that.
 package report

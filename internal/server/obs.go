@@ -5,7 +5,7 @@ import (
 	"sync"
 
 	"faulthound/internal/obs"
-	"faulthound/internal/server/metrics"
+	"faulthound/internal/obs/metrics"
 )
 
 // Metric names and help strings for the per-injection series. They are
