@@ -70,8 +70,6 @@ func main() {
 		retries    = flag.Int("retries", 4, "with -addr: retry transient daemon failures (connection resets, 5xx, 429) this many times with jittered exponential backoff")
 		traceDir   = flag.String("trace-dir", "", "write a Perfetto trace.json of the run's injection lifecycle into this directory")
 		quick      = flag.Bool("quick", false, "scaled-down fault config for smoke testing")
-		ckptCycles = flag.Uint64("checkpoint-cycles", fault.DefaultConfig().CheckpointCycles, "golden checkpoint interval in cycles for injection forking (0 disables)")
-		earlyExit  = flag.Bool("early-exit", fault.DefaultConfig().EarlyExit, "classify masked injections at provable reconvergence instead of simulating the full window")
 		verbose    = flag.Bool("v", false, "per-cell progress lines")
 
 		// Pareto search (docs/OPTIMIZE.md).
@@ -155,11 +153,11 @@ func main() {
 			dir = filepath.Join("results", "campaigns", spec.RunID)
 		}
 	}
-	// Execution-strategy knobs apply to fresh and resumed runs alike:
-	// they are excluded from the manifest (results don't depend on
-	// them), so a resume takes them from the flags, not the bundle.
-	spec.Fault.CheckpointCycles = *ckptCycles
-	spec.Fault.EarlyExit = *earlyExit
+	// Execution-strategy knobs are excluded from the manifest (results
+	// don't depend on them), so a resume takes them from the options,
+	// not the bundle.
+	spec.Fault.CheckpointCycles = opts.Fault.CheckpointCycles
+	spec.Fault.EarlyExit = opts.Fault.EarlyExit
 
 	// Ctrl-C cancels cleanly: the journal keeps every completed
 	// injection and the run resumes with -resume.
@@ -335,9 +333,9 @@ type optimizeFlags struct {
 }
 
 // runOptimize executes the plan/execute/score stack as a Pareto
-// search: locally through the harness evaluator, or on a daemon via
-// POST /v1/optimize when -addr is set. Either way the artifacts land
-// in the output directory and the front prints to stdout.
+// search: locally through the harness evaluator, or as a daemon job
+// via POST /v1/optimize when -addr is set. Either way the artifacts
+// land in the output directory and the front prints to stdout.
 func runOptimize(opts harness.Options, of optimizeFlags) {
 	benches, err := benchList(of.bench, of.workloads)
 	if err != nil {
@@ -351,12 +349,8 @@ func runOptimize(opts harness.Options, of optimizeFlags) {
 	if err != nil {
 		fatal(err)
 	}
-	var params []string
-	for _, p := range strings.Split(of.params, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			params = append(params, p)
-		}
-	}
+	// search.Run (and the daemon) trim, sort, dedup and check the list.
+	params := strings.Split(of.params, ",")
 	if of.injections > 0 {
 		opts.Fault.Injections = of.injections
 	}
@@ -388,6 +382,7 @@ func runOptimize(opts harness.Options, of optimizeFlags) {
 		}
 		cl := server.NewClient(of.addr)
 		cl.Retries = of.retries
+		progress := progressLine()
 		rep, err = cl.Optimize(ctx, server.OptimizeRequest{
 			Benchmarks: benches,
 			Schemes:    specs,
@@ -396,7 +391,12 @@ func runOptimize(opts harness.Options, of optimizeFlags) {
 			Weights:    weights.String(),
 			Params:     params,
 			Injections: of.injections,
+		}, func(ev server.Event) {
+			if ev.Total > 0 {
+				progress(ev.Done, ev.Total)
+			}
 		})
+		fmt.Fprintln(os.Stderr)
 		if err != nil {
 			fatal(err)
 		}
@@ -407,7 +407,7 @@ func runOptimize(opts harness.Options, of optimizeFlags) {
 			Weights: weights,
 			Base:    base,
 			Params:  params,
-			Eval:    harness.NewSearchEval(opts.NewEvaluator(fault.NewPreparedCache(), progressLine()), benches),
+			Eval:    search.CampaignEval(opts.NewEvaluator(fault.NewPreparedCache(), progressLine()), benches),
 		}
 		if of.verbose {
 			cfg.Log = func(format string, args ...any) {

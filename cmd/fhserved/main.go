@@ -232,13 +232,17 @@ func main() {
 	stop()
 	log.Info("signal received; draining (in-flight campaigns journal and resume on next start)")
 
+	// Drain before closing the listener: http.Server.Shutdown waits
+	// for active handlers, and an event stream ends only when its job
+	// does. Draining interrupts running jobs, which ends their streams
+	// (and those of queued jobs), so Shutdown returns promptly.
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := hs.Shutdown(shutdownCtx); err != nil {
-		log.Warn("http shutdown", "err", err)
-	}
 	if err := s.Drain(shutdownCtx); err != nil {
 		log.Warn("drain", "err", err)
+	}
+	if err := hs.Shutdown(shutdownCtx); err != nil {
+		log.Warn("http shutdown", "err", err)
 	}
 	if un := s.Unfinished(); len(un) > 0 {
 		log.Info("jobs unfinished; restart fhserved to resume", "count", len(un), "data", *data, "jobs", un)

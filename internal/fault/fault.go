@@ -119,14 +119,17 @@ type Config struct {
 	// only the fork distance (and Prepare's memory footprint) changes.
 	//
 	// Execution-strategy knob, not a campaign parameter: excluded from
-	// JSON so spec hashes, manifests, and journals are unaffected.
+	// JSON so spec hashes, manifests, and journals are unaffected. No
+	// CLI exposes it; 0 is the plain-replay reference that
+	// TestCheckpointForkEquivalence compares the forking path against.
 	CheckpointCycles uint64 `json:"-"`
 	// EarlyExit enables reconvergence early-exit (divergence-bounded
 	// replay): a faulty run is classified Masked as soon as its state
 	// provably reconverges with the recorded golden trace, without
 	// simulating the rest of the window. Bit-identical to the full run
 	// by construction (see pipeline.StateDigest). Same JSON exclusion
-	// as CheckpointCycles.
+	// as CheckpointCycles, and likewise no CLI exposes it: false is the
+	// full-window reference of TestCheckpointForkEquivalence.
 	EarlyExit bool `json:"-"`
 }
 

@@ -2,10 +2,12 @@ package search
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
+	"faulthound/internal/pspec"
 	"faulthound/internal/scheme"
 	"faulthound/internal/stats"
 )
@@ -49,12 +51,12 @@ func mutate(rng *stats.RNG, sp scheme.Spec, allow []string) (scheme.Spec, bool) 
 	if !found {
 		return scheme.Spec{}, false
 	}
-	var params []scheme.Param
+	var params []pspec.Param
 	for _, p := range sc.Params {
 		if !mutableKind(p.Kind) {
 			continue
 		}
-		if len(allow) > 0 && !contains(allow, p.Name) {
+		if len(allow) > 0 && !slices.Contains(allow, p.Name) {
 			continue
 		}
 		params = append(params, p)
@@ -70,11 +72,11 @@ func mutate(rng *stats.RNG, sp scheme.Spec, allow []string) (scheme.Spec, bool) 
 	}
 	var raw string
 	switch p.Kind {
-	case scheme.Int:
+	case pspec.Int:
 		raw = strconv.Itoa(mutateInt(rng, vals.Int(p.Name), p))
-	case scheme.Float:
+	case pspec.Float:
 		raw = strconv.FormatFloat(mutateFloat(rng, vals.Float(p.Name), p), 'g', -1, 64)
-	case scheme.Bool:
+	case pspec.Bool:
 		if vals.Bool(p.Name) {
 			raw = "off"
 		} else {
@@ -94,14 +96,14 @@ func mutate(rng *stats.RNG, sp scheme.Spec, allow []string) (scheme.Spec, bool) 
 // mutableKind reports whether the search perturbs parameters of this
 // kind. Size and Str parameters (segment sizes, labels) are skipped:
 // their value spaces are either workload-shaped or unordered.
-func mutableKind(k scheme.Kind) bool {
-	return k == scheme.Int || k == scheme.Float || k == scheme.Bool
+func mutableKind(k pspec.Kind) bool {
+	return k == pspec.Int || k == pspec.Float || k == pspec.Bool
 }
 
 // mutateInt perturbs an integer parameter: halve, double, or step by
 // one, clamped to [Min, 8×max(default, 1)] so the search stays in a
 // plausible hardware range.
-func mutateInt(rng *stats.RNG, n int, p scheme.Param) int {
+func mutateInt(rng *stats.RNG, n int, p pspec.Param) int {
 	def, _ := strconv.Atoi(p.Default)
 	hi := 8 * max(def, 1)
 	var m int
@@ -122,7 +124,7 @@ func mutateInt(rng *stats.RNG, n int, p scheme.Param) int {
 // ±0.1, clamped to [0, 1] for fraction-like parameters (default ≤ 1)
 // and [0, 8×default] otherwise. Values are rounded to 4 decimals so
 // canonical encodings stay readable.
-func mutateFloat(rng *stats.RNG, f float64, p scheme.Param) float64 {
+func mutateFloat(rng *stats.RNG, f float64, p pspec.Param) float64 {
 	def, _ := strconv.ParseFloat(p.Default, 64)
 	hi := 1.0
 	if def > 1 {
@@ -165,14 +167,4 @@ func withParam(sp scheme.Spec, name, raw string) string {
 		pairs[i] = k + "=" + set[k]
 	}
 	return sp.Name + "?" + strings.Join(pairs, ",")
-}
-
-// contains reports whether list holds s.
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }

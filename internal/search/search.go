@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -152,9 +153,8 @@ type Point struct {
 }
 
 // Evaluate scores a batch of proposed configurations, returning one
-// Metrics per spec in order. The campaign Evaluator (wrapped by
-// harness.NewSearchEval) is the standard implementation; tests supply
-// synthetic ones.
+// Metrics per spec in order. CampaignEval over a campaign.Evaluator
+// is the standard implementation; tests supply synthetic ones.
 type Evaluate func(ctx context.Context, specs []scheme.Spec) ([]Metrics, error)
 
 // Config parameterizes one search run.
@@ -175,6 +175,8 @@ type Config struct {
 	Base []scheme.Spec
 	// Params optionally restricts mutation to these parameter names;
 	// empty means every Int/Float/Bool parameter the scheme declares.
+	// Run canonicalizes the list through NormalizeParams and rejects a
+	// name no base scheme can mutate.
 	Params []string
 	// Eval scores proposals (required).
 	Eval Evaluate
@@ -216,6 +218,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	if cfg.Budget <= 0 {
 		return nil, fmt.Errorf("search: budget must be positive")
+	}
+	params, err := NormalizeParams(cfg.Base, cfg.Params)
+	if err != nil {
+		return nil, err
 	}
 	pop := cfg.PopSize
 	if pop <= 0 {
@@ -275,7 +281,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			break
 		}
 		parents := selectParents(archive, pop)
-		pending = propose(rng, parents, cfg.Params, seen, min(pop, remaining))
+		pending = propose(rng, parents, params, seen, min(pop, remaining))
 		if len(pending) == 0 {
 			logf("search: mutation space exhausted after %d evaluations", len(archive))
 		}
@@ -286,6 +292,41 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	sortArchive(archive)
 	return &Result{Points: archive, Rounds: rounds, Evaluated: len(archive)}, nil
+}
+
+// NormalizeParams canonicalizes a mutation allow-list: names are
+// trimmed, empty names dropped, and the rest sorted and deduplicated.
+// The list is a membership filter, so none of that changes a search,
+// and equivalent lists compare equal. Every name must be a mutable
+// parameter of at least one base scheme: an unknown name would
+// otherwise leave nothing to mutate and end the search after the base
+// population.
+func NormalizeParams(base []scheme.Spec, params []string) ([]string, error) {
+	var out, mutable []string
+	for _, p := range params {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
+		}
+	}
+	for _, sp := range base {
+		if sc, ok := scheme.Lookup(sp.Name); ok {
+			for _, p := range sc.Params {
+				if mutableKind(p.Kind) {
+					mutable = append(mutable, p.Name)
+				}
+			}
+		}
+	}
+	slices.Sort(out)
+	slices.Sort(mutable)
+	mutable = slices.Compact(mutable)
+	for _, p := range out {
+		if !slices.Contains(mutable, p) {
+			return nil, fmt.Errorf("search: %q is not a mutable parameter of any base scheme (mutable: %s)",
+				p, strings.Join(mutable, ", "))
+		}
+	}
+	return slices.Compact(out), nil
 }
 
 // markFront recomputes every archive point's Front flag by pairwise

@@ -172,6 +172,44 @@ func TestRunConfigErrors(t *testing.T) {
 	}
 }
 
+// TestNormalizeParams: the mutation allow-list canonicalizes (trim,
+// drop empties, sort, dedup) and rejects names no base scheme can
+// mutate, both directly and through Run, which would otherwise
+// evaluate only the base population and report success.
+func TestNormalizeParams(t *testing.T) {
+	base := []scheme.Spec{{Name: "faulthound"}, {Name: "pbfs"}}
+	got, err := NormalizeParams(base, []string{" tcam", "", "delay", "tcam ", "entries", " "})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got, ",") != "delay,entries,tcam" {
+		t.Errorf("normalized params = %q, want [delay entries tcam]", got)
+	}
+	if got, err := NormalizeParams(base, []string{"", " "}); err != nil || len(got) != 0 {
+		t.Errorf("all-empty params = %q, %v; want none", got, err)
+	}
+	for _, bad := range [][]string{
+		{"tcma"},             // typo
+		{"tcam", "coverage"}, // srt-iso's parameter, not a base scheme's
+	} {
+		if _, err := NormalizeParams(base, bad); err == nil || !strings.Contains(err.Error(), "not a mutable parameter") {
+			t.Errorf("NormalizeParams(%q) = %v, want a rejection", bad, err)
+		}
+		var calls [][]string
+		_, err := Run(context.Background(), Config{
+			Budget: 4, Base: base, Params: bad, Eval: syntheticEval(&calls),
+		})
+		if err == nil || len(calls) != 0 {
+			t.Errorf("Run with params %q: err %v after %d evaluations, want a rejection before any", bad, err, len(calls))
+		}
+	}
+	// Only Int/Float/Bool parameters are mutable: baseline declares
+	// none, so any name is rejected against it.
+	if _, err := NormalizeParams([]scheme.Spec{{Name: "baseline"}}, []string{"tcam"}); err == nil {
+		t.Error("a parameter of no base scheme was accepted")
+	}
+}
+
 func TestMutateStaysInRange(t *testing.T) {
 	rng := stats.NewRNG(3)
 	sp, err := scheme.Parse("faulthound")

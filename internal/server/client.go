@@ -148,20 +148,30 @@ func (c *Client) retry(ctx context.Context, op func() error) error {
 // hash dedups on the server, so a retried submit attaches to the job
 // the lost response created.
 func (c *Client) Submit(ctx context.Context, spec campaign.Spec) (*JobStatus, error) {
-	b, err := json.Marshal(spec)
+	return c.submit(ctx, "/v1/campaigns", spec)
+}
+
+// SubmitOptimize posts a Pareto-search request and returns the created
+// (or deduplicated) job's status; like Submit, repeats are harmless.
+func (c *Client) SubmitOptimize(ctx context.Context, oreq OptimizeRequest) (*JobStatus, error) {
+	return c.submit(ctx, "/v1/optimize", oreq)
+}
+
+func (c *Client) submit(ctx context.Context, path string, v any) (*JobStatus, error) {
+	b, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
 	}
 	var st *JobStatus
 	err = c.retry(ctx, func() error {
-		st, err = c.submitOnce(ctx, b)
+		st, err = c.submitOnce(ctx, path, b)
 		return err
 	})
 	return st, err
 }
 
-func (c *Client) submitOnce(ctx context.Context, body []byte) (*JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/v1/campaigns", bytes.NewReader(body))
+func (c *Client) submitOnce(ctx context.Context, path string, body []byte) (*JobStatus, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -183,9 +193,20 @@ func (c *Client) submitOnce(ctx context.Context, body []byte) (*JobStatus, error
 
 // Status fetches a job's current status.
 func (c *Client) Status(ctx context.Context, id string) (*JobStatus, error) {
-	var st *JobStatus
+	b, err := c.get(ctx, "/v1/campaigns/"+id)
+	if err != nil {
+		return nil, err
+	}
+	st := new(JobStatus)
+	return st, json.Unmarshal(b, st)
+}
+
+// get fetches path, retrying transient failures, and returns the body
+// of a 200 response.
+func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
+	var out []byte
 	err := c.retry(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/v1/campaigns/"+id, nil)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
 		if err != nil {
 			return err
 		}
@@ -197,13 +218,10 @@ func (c *Client) Status(ctx context.Context, id string) (*JobStatus, error) {
 			return decodeError(resp)
 		}
 		defer resp.Body.Close()
-		st = new(JobStatus)
-		return json.NewDecoder(resp.Body).Decode(st)
+		out, err = io.ReadAll(resp.Body)
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
+	return out, err
 }
 
 // terminalState reports whether a stream may legitimately end at state.
@@ -291,60 +309,34 @@ func (c *Client) watchOnce(ctx context.Context, id string, onEvent func(Event)) 
 
 // BundleFile fetches one artifact file of a completed job.
 func (c *Client) BundleFile(ctx context.Context, id, name string) ([]byte, error) {
-	var out []byte
-	err := c.retry(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/v1/campaigns/"+id+"/bundle/"+name, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := c.http().Do(req)
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return decodeError(resp)
-		}
-		defer resp.Body.Close()
-		out, err = io.ReadAll(resp.Body)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return c.get(ctx, "/v1/campaigns/"+id+"/bundle/"+name)
 }
 
-// Optimize runs a Pareto search on the daemon (POST /v1/optimize) and
-// returns the resulting report. The call blocks until the search
-// finishes; repeats are harmless — the daemon caches results by
-// request hash, so a retried request is served from disk.
-func (c *Client) Optimize(ctx context.Context, oreq OptimizeRequest) (*search.Report, error) {
-	body, err := json.Marshal(oreq)
+// Optimize runs a Pareto search on the daemon: it submits the request
+// as a job, follows the job's event stream (onEvent may be nil), and
+// returns the finished search's pareto.json. Repeats are harmless: an
+// identical request attaches to the existing job or its cached result.
+func (c *Client) Optimize(ctx context.Context, oreq OptimizeRequest, onEvent func(Event)) (*search.Report, error) {
+	st, err := c.SubmitOptimize(ctx, oreq)
 	if err != nil {
 		return nil, err
 	}
-	var rep *search.Report
-	err = c.retry(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/v1/optimize", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := c.http().Do(req)
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return decodeError(resp)
-		}
-		defer resp.Body.Close()
-		rep = new(search.Report)
-		return json.NewDecoder(resp.Body).Decode(rep)
-	})
+	final, err := c.Watch(ctx, st.ID, onEvent)
 	if err != nil {
 		return nil, err
 	}
-	return rep, nil
+	if final.State != StateDone {
+		return nil, fmt.Errorf("server: search job %s ended %s: %s", final.ID, final.State, final.Error)
+	}
+	b, err := c.BundleFile(ctx, final.ID, search.JSONName)
+	if err != nil {
+		return nil, err
+	}
+	var rep search.Report
+	if err := json.Unmarshal(b, &rep); err != nil {
+		return nil, err
+	}
+	return &rep, nil
 }
 
 // Summary fetches and parses a completed job's summary.json.

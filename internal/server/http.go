@@ -14,19 +14,23 @@ import (
 	"faulthound/internal/buildinfo"
 	"faulthound/internal/campaign"
 	"faulthound/internal/scheme"
+	"faulthound/internal/search"
 	"faulthound/internal/wgen"
 	"faulthound/internal/workload"
 )
 
 // bundleFiles is the whitelist the bundle endpoint serves — exactly
-// the artifact set a campaign writes (plus the daemon's status file is
-// deliberately excluded).
+// the artifact sets a campaign and a search write (the daemon's status
+// file is deliberately excluded).
 var bundleFiles = []string{
 	campaign.ManifestName,
 	campaign.JournalName,
 	campaign.ResultsName,
 	campaign.SummaryName,
 	campaign.ReportName,
+	search.CSVName,
+	search.JSONName,
+	search.ReportName,
 }
 
 // Handler returns the daemon's HTTP API:
@@ -38,7 +42,7 @@ var bundleFiles = []string{
 //	GET  /v1/campaigns/{id}/bundle/ bundle file list; append a file name to fetch it
 //	GET  /v1/campaigns/{id}/report  detector-quality report (?format=md for markdown)
 //	GET  /v1/jobs/{id}/report       alias of the campaign report route
-//	POST /v1/optimize               run (or serve cached) a Pareto search (docs/OPTIMIZE.md)
+//	POST /v1/optimize               submit a Pareto search job (202 new, 200 dedup/cache hit; docs/OPTIMIZE.md)
 //	GET  /v1/schemes                scheme registry metadata (names, parameters)
 //	GET  /v1/workloads              workload catalogue (benchmarks + generators)
 //	GET  /metrics                   Prometheus text format
@@ -128,18 +132,34 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.admission != nil && !s.admission.Allow() {
-		s.reject429(w, "rate", "submission rate limit exceeded", s.admission.RetryAfter())
-		return
-	}
 	var spec campaign.Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad spec JSON: "+err.Error())
+	if !s.decodeSubmission(w, r, &spec) {
 		return
 	}
 	j, hit, err := s.Submit(spec)
+	s.answerSubmission(w, j, hit, err)
+}
+
+// decodeSubmission runs the admission gate and decodes a submission
+// body into v. On false the response has been written.
+func (s *Server) decodeSubmission(w http.ResponseWriter, r *http.Request, v any) bool {
+	if s.admission != nil && !s.admission.Allow() {
+		s.reject429(w, "rate", "submission rate limit exceeded", s.admission.RetryAfter())
+		return false
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, "bad request JSON: "+err.Error())
+		return false
+	}
+	return true
+}
+
+// answerSubmission writes the response to a campaign or search
+// submission: 202 with the new job's status, 200 with cache_hit for a
+// dedup, or the error.
+func (s *Server) answerSubmission(w http.ResponseWriter, j *job, hit bool, err error) {
 	switch {
 	case err == nil:
 	case isBadSpec(err):
@@ -210,8 +230,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvents streams job progress until the job reaches a terminal
-// state (or the client goes away). Plain JSONL by default; SSE frames
-// when the client asks for text/event-stream.
+// state, the server drains, or the client goes away. Plain JSONL by
+// default; SSE frames when the client asks for text/event-stream.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j := s.jobFor(w, r)
 	if j == nil {
@@ -256,6 +276,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if !send(ev) {
 				return
 			}
+		case <-s.stopped:
+			// Drained with the job still queued: no runner will move
+			// it, so end the stream at its current state.
+			send(j.event("state"))
+			return
 		case <-j.doneCh:
 			// Drain anything buffered, then emit the final snapshot so
 			// the last line a client reads is the terminal state even if

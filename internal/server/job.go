@@ -1,10 +1,13 @@
 package server
 
 import (
+	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
 	"faulthound/internal/campaign"
+	"faulthound/internal/search"
 )
 
 // Job states. A job is terminal in StateDone and StateFailed;
@@ -30,10 +33,11 @@ type Event struct {
 	Error string `json:"error,omitempty"`
 }
 
-// JobStatus is the wire form of a job, returned by POST /v1/campaigns
-// and GET /v1/campaigns/{id}.
+// JobStatus is the wire form of a job, returned by POST /v1/campaigns,
+// POST /v1/optimize and GET /v1/campaigns/{id}.
 type JobStatus struct {
-	// ID is the canonical spec hash — identical submissions share it.
+	// ID is the canonical spec (or search request) hash — identical
+	// submissions share it.
 	ID    string `json:"id"`
 	RunID string `json:"run_id"`
 	State string `json:"state"`
@@ -52,11 +56,13 @@ type JobStatus struct {
 	ElapsedMS int64  `json:"elapsed_ms,omitempty"`
 }
 
-// job is the server-side state of one campaign.
+// job is the server-side state of one campaign or search.
 type job struct {
 	id   string // spec hash
 	spec campaign.Spec
-	dir  string
+	// opt is a search job's normalized request; nil for a campaign.
+	opt *OptimizeRequest
+	dir string
 
 	mu       sync.Mutex
 	state    string
@@ -84,6 +90,21 @@ func newJob(id string, spec campaign.Spec, dir string) *job {
 		subs:   make(map[chan Event]struct{}),
 		doneCh: make(chan struct{}),
 	}
+}
+
+// complete reports whether the job directory holds every artifact a
+// finished job of its kind writes.
+func (j *job) complete() bool {
+	files := []string{campaign.ManifestName, campaign.ResultsName, campaign.SummaryName, campaign.ReportName}
+	if j.opt != nil {
+		files = []string{search.CSVName, search.JSONName, search.ReportName}
+	}
+	for _, f := range files {
+		if _, err := os.Stat(filepath.Join(j.dir, f)); err != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // status snapshots the wire form.

@@ -1,26 +1,14 @@
 package server
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
-	"strings"
 
 	"faulthound/internal/campaign"
+	"faulthound/internal/fault"
 	"faulthound/internal/scheme"
 	"faulthound/internal/search"
-	"faulthound/internal/workload"
 )
-
-// OptimizeDirName is the subdirectory of the data root holding cached
-// Pareto-search results, one directory per request hash. It lives
-// beside the spec-hash job directories but is not a job: rescan skips
-// it.
-const OptimizeDirName = "optimize"
 
 // DefaultOptimizeBudget caps distinct configurations evaluated when a
 // request leaves Budget zero.
@@ -50,201 +38,127 @@ type OptimizeRequest struct {
 	Injections int `json:"injections,omitempty"`
 }
 
-// normalizeOptimize validates and canonicalizes a request: workload
-// and scheme specs expand through their registries, defaults fill in,
-// and every benchmark × base-scheme cell must resolve through the
-// factory. The canonical form is what gets hashed, so equivalent
-// requests share a cache entry.
-func (s *Server) normalizeOptimize(req OptimizeRequest) (OptimizeRequest, []scheme.Spec, search.Weights, error) {
-	var base []scheme.Spec
-	if len(req.Benchmarks) == 0 {
-		return req, nil, search.Weights{}, errBadSpec("optimize request has no benchmarks")
-	}
-	if len(req.Schemes) == 0 {
-		return req, nil, search.Weights{}, errBadSpec("optimize request has no schemes")
-	}
-	benches, err := workload.ExpandSpecs(req.Benchmarks)
-	if err != nil {
-		return req, nil, search.Weights{}, wrapBadSpec(err)
-	}
-	req.Benchmarks = benches
-	var schemes []string
-	for _, raw := range req.Schemes {
-		specs, err := scheme.Expand(raw)
-		if err != nil {
-			return req, nil, search.Weights{}, wrapBadSpec(err)
-		}
-		for _, sp := range specs {
-			if sp == campaign.BaselineSpec {
-				continue // baselines are implicit pairing bases, not searchable
-			}
-			schemes = append(schemes, sp.String())
-			base = append(base, sp)
-		}
-	}
-	if len(base) == 0 {
-		return req, nil, search.Weights{}, errBadSpec("optimize request has no non-baseline schemes")
-	}
-	req.Schemes = schemes
+// optimizeHashable identifies a search job's results: the normalized
+// request under its own key (so a search never shares an ID with a
+// campaign), the fault config every evaluation runs under, and the
+// source revision.
+type optimizeHashable struct {
+	Optimize OptimizeRequest `json:"optimize"`
+	Fault    fault.Config    `json:"fault"`
+	Commit   string          `json:"commit"`
+}
+
+// SubmitOptimize queues a Pareto search as a job. The request's
+// benchmarks, schemes and injection count go through the campaign
+// path's normalization, limits and cell resolution; the search knobs
+// canonicalize here (weights re-encoded, the budget defaulted, params
+// trimmed, sorted, deduplicated and checked against the base schemes).
+// Equivalent requests share one job, deduplicated like Submit.
+func (s *Server) SubmitOptimize(req OptimizeRequest) (*job, bool, error) {
 	w, err := search.ParseWeights(req.Weights)
 	if err != nil {
-		return req, nil, search.Weights{}, wrapBadSpec(err)
+		return nil, false, wrapBadSpec(err)
 	}
 	req.Weights = w.String()
 	if req.Budget <= 0 {
 		req.Budget = DefaultOptimizeBudget
 	}
-	if req.Injections <= 0 {
-		req.Injections = s.cfg.BaseFault.Injections
-	}
-	for i, p := range req.Params {
-		req.Params[i] = strings.TrimSpace(p)
-	}
-	// Resolve every cell up front so an unknown bench or scheme is a
-	// 400 at submit time, not a failed search later.
-	for _, bm := range req.Benchmarks {
-		for _, sp := range base {
-			if _, err := s.cfg.Factory(bm, sp); err != nil {
-				return req, nil, search.Weights{}, wrapBadSpec(err)
-			}
-		}
-	}
-	// The same admission cap campaigns get, against the worst case:
-	// every budgeted configuration (plus one baseline per benchmark)
-	// runs on every benchmark.
-	if max := s.cfg.MaxInjections; max > 0 {
-		worst := (req.Budget + 1) * len(req.Benchmarks) * req.Injections
-		if worst > max {
-			return req, nil, search.Weights{}, errBadSpec(fmt.Sprintf(
-				"optimize wants up to %d injections, limit is %d", worst, max))
-		}
-	}
-	return req, base, w, nil
+	return s.submit(campaign.Spec{
+		Benchmarks: req.Benchmarks,
+		Schemes:    req.Schemes,
+		Fault:      fault.Config{Injections: req.Injections},
+	}, &req)
 }
 
-// optimizeHash is the request's cache identity: the canonical request
-// JSON, the daemon's fault config (which parameterizes every
-// evaluation), and the source revision.
-func (s *Server) optimizeHash(req OptimizeRequest) string {
-	b, err := json.Marshal(struct {
-		Req    OptimizeRequest `json:"req"`
-		Fault  any             `json:"fault"`
-		Commit string          `json:"commit"`
-	}{req, s.faultFor(req.Injections), s.cfg.GitCommit})
+// normalizeOptimize completes a search request from its normalized
+// spec: the canonical benchmark, scheme and injection values replace
+// the submitted ones, and the params list canonicalizes against the
+// base population.
+func normalizeOptimize(req *OptimizeRequest, norm campaign.Spec) error {
+	if len(norm.Schemes) == 0 {
+		return errBadSpec("optimize request has no non-baseline schemes")
+	}
+	params, err := search.NormalizeParams(searchBase(norm), req.Params)
 	if err != nil {
-		panic(fmt.Sprintf("server: optimize hash marshal: %v", err))
+		return wrapBadSpec(err)
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])[:24]
+	req.Benchmarks, req.Schemes, req.Injections = norm.Benchmarks, norm.Schemes, norm.Fault.Injections
+	req.Params = params
+	return nil
 }
 
-// faultFor is the fault config an optimize run evaluates under: the
-// daemon's base config with the request's injection count.
-func (s *Server) faultFor(injections int) any {
-	f := s.cfg.BaseFault
-	f.Injections = injections
-	return f
+// searchBase is a search's round-0 population: the normalized spec's
+// schemes (baseline is the implicit pairing basis, never searched).
+func searchBase(spec campaign.Spec) []scheme.Spec {
+	base := make([]scheme.Spec, len(spec.Schemes))
+	for i, sp := range spec.Schemes {
+		base[i] = scheme.FromString(sp)
+	}
+	return base
 }
 
-// handleOptimize runs (or serves from cache) a Pareto search:
-// normalize, hash, and either stream back the cached pareto.json or
-// execute the search synchronously and cache its artifacts under
-// Root/optimize/<hash>/. Searches serialize on one mutex — the driver
-// is single-threaded by contract and each evaluation already fans out
-// over the injection worker pool.
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
+// runSearch executes a search job: the seeded driver over a campaign
+// evaluator that shares the daemon's prepared cache, cancelled by a
+// drain. Progress accumulates over the evaluation batches. A search
+// has no journal, so an interrupted one reruns from scratch; the
+// driver is deterministic, so the rerun writes the same artifacts.
+func (s *Server) runSearch(j *job) (int, error) {
 	if s.cfg.Timing == nil {
-		writeError(w, http.StatusServiceUnavailable, "optimizer unavailable: daemon has no timing runner")
-		return
+		return 0, fmt.Errorf("optimizer unavailable: daemon has no timing runner")
 	}
-	if s.admission != nil && !s.admission.Allow() {
-		s.reject429(w, "rate", "submission rate limit exceeded", s.admission.RetryAfter())
-		return
-	}
-	var req OptimizeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad optimize JSON: "+err.Error())
-		return
-	}
-	req, base, weights, err := s.normalizeOptimize(req)
+	req := j.opt
+	weights, err := search.ParseWeights(req.Weights)
 	if err != nil {
-		if isBadSpec(err) {
-			if scheme.IsSpecError(err) {
-				writeJSON(w, http.StatusBadRequest, map[string]any{
-					"error":         err.Error(),
-					"known_schemes": scheme.Names(),
-				})
-				return
-			}
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
+		return 0, err
 	}
-
-	hash := s.optimizeHash(req)
-	dir := filepath.Join(s.cfg.Root, OptimizeDirName, hash)
-	jsonPath := filepath.Join(dir, search.JSONName)
-
-	s.optMu.Lock()
-	defer s.optMu.Unlock()
-	if b, err := os.ReadFile(jsonPath); err == nil {
-		s.mOptHits.Inc()
-		s.log.Debug("optimize cache hit", "hash", hash)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Faulthound-Optimize-Cache", "hit")
-		w.WriteHeader(http.StatusOK)
-		w.Write(b)
-		return
-	}
-
-	fc := s.cfg.BaseFault
-	fc.Injections = req.Injections
+	prior, total := 0, j.status().Total
 	ev := &campaign.Evaluator{
 		Factory:  s.cfg.Factory,
-		Fault:    fc,
-		Workers:  s.cfg.Workers,
+		Fault:    j.spec.Fault,
+		Workers:  j.spec.Workers,
 		Timing:   s.cfg.Timing,
 		Prepared: s.prepared,
-		Progress: func(int, int) { s.mInjections.Inc() },
+		Obs:      newMetricsSink(s.reg, s.mInflight),
+		Progress: func(done, n int) {
+			total = max(total, prior+n)
+			j.progress(prior+done, total)
+			s.mInjections.Inc()
+			if done == n {
+				prior += n
+			}
+		},
 	}
 	cfg := search.Config{
 		Seed:    req.Seed,
 		Budget:  req.Budget,
 		Weights: weights,
-		Base:    base,
+		Base:    searchBase(j.spec),
 		Params:  req.Params,
 		Eval:    search.CampaignEval(ev, req.Benchmarks),
 		Log: func(format string, args ...any) {
-			s.log.Debug(fmt.Sprintf(format, args...))
+			s.log.Debug(fmt.Sprintf(format, args...), "job", j.id)
 		},
 	}
-	s.log.Info("optimize starting", "hash", hash,
-		"benchmarks", len(req.Benchmarks), "budget", req.Budget, "injections", req.Injections)
-	res, err := search.Run(r.Context(), cfg)
+	res, err := search.Run(s.runCtx, cfg)
 	if err != nil {
-		s.log.Error("optimize failed", "hash", hash, "err", err)
-		writeError(w, http.StatusInternalServerError, err.Error())
+		return 0, err
+	}
+	return 0, search.NewReport(j.spec.RunID, req.Benchmarks, cfg, res).WriteArtifacts(j.dir)
+}
+
+// handleOptimize queues (or deduplicates) a Pareto search job. It
+// answers like POST /v1/campaigns — 202 with the new job's status, 200
+// with cache_hit for a repeat — and the job is then followed through
+// the campaign routes: status, events, and bundle/pareto.{csv,json,md}.
+func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
+	if s.cfg.Timing == nil {
+		writeError(w, http.StatusServiceUnavailable, "optimizer unavailable: daemon has no timing runner")
 		return
 	}
-	rep := search.NewReport("opt-"+hash[:12], req.Benchmarks, cfg, res)
-	if err := rep.WriteArtifacts(dir); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+	var req OptimizeRequest
+	if !s.decodeSubmission(w, r, &req) {
 		return
 	}
-	s.mOptRuns.Inc()
-	s.log.Info("optimize done", "hash", hash,
-		"evaluated", res.Evaluated, "front", len(res.Front()))
-	b, err := rep.JSON()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Faulthound-Optimize-Cache", "miss")
-	w.WriteHeader(http.StatusOK)
-	w.Write(b)
+	j, hit, err := s.SubmitOptimize(req)
+	s.answerSubmission(w, j, hit, err)
 }

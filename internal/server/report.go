@@ -11,6 +11,7 @@ import (
 	"faulthound/internal/fault"
 	"faulthound/internal/pipeline"
 	"faulthound/internal/report"
+	"faulthound/internal/search"
 )
 
 // reportMu single-flights sidecar generation: two concurrent report
@@ -26,10 +27,15 @@ var reportMu sync.Mutex
 // injections through the shared prepared cache for latencies) and
 // served from disk afterwards, exactly the files fhreport bundle
 // writes. 409 until the job is done: the report is a pure function of
-// a complete bundle.
+// a complete bundle. A search job has no injection bundle to replay:
+// 404, its summary is bundle/pareto.md.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	j := s.jobFor(w, r)
 	if j == nil {
+		return
+	}
+	if j.opt != nil {
+		writeError(w, http.StatusNotFound, "job is a Pareto search; it has no detector-quality report (see bundle/"+search.ReportName+")")
 		return
 	}
 	j.mu.Lock()

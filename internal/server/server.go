@@ -1,8 +1,8 @@
 // Package server is the campaign-serving daemon behind cmd/fhserved:
-// an HTTP front-end that accepts campaign specs, runs them on a
-// bounded job queue backed by the campaign engine's worker pool, and
-// serves status, streaming progress, completed artifact bundles, and
-// Prometheus-format metrics.
+// an HTTP front-end that accepts campaign specs and Pareto-search
+// requests, runs them as jobs on a bounded queue backed by the
+// campaign engine's worker pool, and serves status, streaming
+// progress, completed artifact bundles, and Prometheus-format metrics.
 //
 // Jobs are identified by a canonical spec hash (normalized spec JSON +
 // seed + git commit), so identical submissions deduplicate: a spec
@@ -12,7 +12,8 @@
 // through a fault.PreparedCache. On SIGTERM the daemon drains: running
 // engines cancel promptly (mid-injection), their journals stay on
 // disk, and a restarted daemon rescans its data root and resumes every
-// unfinished job through the engine's resume path.
+// unfinished job through the engine's resume path (a search job,
+// which has no journal, reruns from scratch).
 package server
 
 import (
@@ -48,6 +49,9 @@ type persistedStatus struct {
 	Error      string        `json:"error,omitempty"`
 	CreatedAt  string        `json:"created_at"`
 	FinishedAt string        `json:"finished_at,omitempty"`
+	// Optimize is the normalized request of a search job; campaign
+	// jobs omit it.
+	Optimize *OptimizeRequest `json:"optimize,omitempty"`
 }
 
 // Runner executes one campaign on behalf of the daemon's job loop.
@@ -92,9 +96,9 @@ type Config struct {
 	// Prepared shares a golden-preparation cache with other subsystems
 	// (the cluster worker); nil builds a private one.
 	Prepared *fault.PreparedCache
-	// Timing measures fault-free perf/energy per cell for the optimize
-	// endpoint's overhead objectives (harness.Options.TimingRunner in
-	// the daemon); nil answers POST /v1/optimize with 503.
+	// Timing measures fault-free perf/energy per cell for the search
+	// jobs' overhead objectives (harness.Options.TimingRunner in the
+	// daemon); nil answers POST /v1/optimize with 503.
 	Timing campaign.TimingRunner
 	// Role names this daemon's cluster role for /healthz:
 	// "single" (default), "coordinator", or "worker".
@@ -124,14 +128,14 @@ type Server struct {
 	order []string        // submission order, for listing
 	queue chan *job
 
-	// optMu serializes Pareto searches (the driver is single-threaded
-	// by contract; parallelism lives in each evaluation's worker pool).
-	optMu sync.Mutex
-
 	runCtx  context.Context
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
 	started bool
+	// stopped closes once a drain has stopped every runner; event
+	// streams of jobs left queued end then.
+	stopped  chan struct{}
+	stopOnce sync.Once
 
 	start time.Time
 
@@ -148,8 +152,6 @@ type Server struct {
 	mInflight    *metrics.Value
 	mPrepHits    *metrics.Value
 	mPrepMisses  *metrics.Value
-	mOptRuns     *metrics.Value
-	mOptHits     *metrics.Value
 	mQueueWait   *metrics.Histogram
 
 	// injections-per-second window state (guarded by rateMu).
@@ -197,6 +199,7 @@ func New(cfg Config) (*Server, error) {
 		jobs:     make(map[string]*job),
 		runCtx:   ctx,
 		cancel:   cancel,
+		stopped:  make(chan struct{}),
 		start:    time.Now(),
 	}
 	if cfg.RateLimit > 0 {
@@ -218,8 +221,6 @@ func New(cfg Config) (*Server, error) {
 	s.mInflight = s.reg.Gauge("fhserved_injections_inflight", "Faulty runs executing right now, across all jobs.")
 	s.mPrepHits = s.reg.Counter("fhserved_prepared_cache_hits_total", "Golden-run preparations reused from the prepared cache.")
 	s.mPrepMisses = s.reg.Counter("fhserved_prepared_cache_misses_total", "Golden-run preparations executed (cache fills).")
-	s.mOptRuns = s.reg.Counter("fhserved_optimize_runs_total", "Pareto searches executed to completion.")
-	s.mOptHits = s.reg.Counter("fhserved_optimize_cache_hits_total", "Optimize requests served from the request-hash cache.")
 	s.mQueueWait = s.reg.Histogram("fhserved_job_queue_wait_seconds",
 		"Seconds a job waited between submission and execution start.", metrics.ExpBuckets(0.01, 2, 16))
 	// Pre-register both reject reasons so scrapes render zeros before
@@ -259,9 +260,7 @@ func (s *Server) rescan() error {
 	}
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
-		// The optimize cache is keyed by request hash, not spec hash:
-		// its directories are not jobs.
-		if e.IsDir() && e.Name() != OptimizeDirName {
+		if e.IsDir() {
 			names = append(names, e.Name())
 		}
 	}
@@ -279,10 +278,11 @@ func (s *Server) rescan() error {
 			continue
 		}
 		j := newJob(ps.SpecHash, ps.Spec, dir)
+		j.opt = ps.Optimize
 		j.created = time.Now()
 		switch ps.State {
 		case StateDone:
-			if bundleComplete(dir) {
+			if j.complete() {
 				j.done = j.total
 				j.setState(StateDone, nil) // close doneCh for waiters
 			} else {
@@ -341,13 +341,15 @@ func (s *Server) Start() {
 
 // Drain stops the server gracefully: running engines are cancelled
 // (their journals persist for resume), queued jobs stay queued on
-// disk, and the runners exit. It returns when every runner has
-// stopped or ctx expires.
+// disk, and the runners exit. Every event stream then ends: a drained
+// job's at its interrupted state, a queued job's at its queued state.
+// It returns when every runner has stopped or ctx expires.
 func (s *Server) Drain(ctx context.Context) error {
 	s.cancel()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
+		s.stopOnce.Do(func() { close(s.stopped) })
 		close(done)
 	}()
 	select {
@@ -380,6 +382,15 @@ func (s *Server) Unfinished() []string {
 // served by dedup/cache. A failed job is retried, not served from
 // cache.
 func (s *Server) Submit(spec campaign.Spec) (*job, bool, error) {
+	return s.submit(spec, nil)
+}
+
+// submit is the admission path of both job kinds: a campaign (opt nil)
+// or a search, whose benchmarks, schemes and injection count arrive in
+// spec. Both normalize, resolve every cell, and dedup or enqueue under
+// the server lock; they differ only in the job identity and, for the
+// injection limit, in the worst case a search may run.
+func (s *Server) submit(spec campaign.Spec, opt *OptimizeRequest) (*job, bool, error) {
 	norm, err := NormalizeSpec(spec, s.cfg.BaseFault)
 	if err != nil {
 		return nil, false, wrapBadSpec(err)
@@ -391,9 +402,18 @@ func (s *Server) Submit(spec campaign.Spec) (*job, bool, error) {
 		return nil, false, errBadSpec("spec has no injections")
 	}
 	cells := norm.Cells()
-	if s.cfg.MaxInjections > 0 && len(cells)*norm.Fault.Injections > s.cfg.MaxInjections {
+	want := len(cells) * norm.Fault.Injections
+	if opt != nil {
+		if err := normalizeOptimize(opt, norm); err != nil {
+			return nil, false, err
+		}
+		// Every budgeted configuration, plus one baseline per
+		// benchmark, runs on every benchmark.
+		want = (opt.Budget + 1) * len(norm.Benchmarks) * norm.Fault.Injections
+	}
+	if s.cfg.MaxInjections > 0 && want > s.cfg.MaxInjections {
 		return nil, false, errBadSpec(fmt.Sprintf("spec wants %d injections, limit is %d",
-			len(cells)*norm.Fault.Injections, s.cfg.MaxInjections))
+			want, s.cfg.MaxInjections))
 	}
 	// Resolve every cell up front so an unknown bench or scheme is a
 	// 400 at submit time, not a failed job later.
@@ -402,11 +422,14 @@ func (s *Server) Submit(spec campaign.Spec) (*job, bool, error) {
 			return nil, false, wrapBadSpec(err)
 		}
 	}
-	id := SpecHash(norm, s.cfg.GitCommit)
+	id, prefix := SpecHash(norm, s.cfg.GitCommit), "job-"
+	if opt != nil {
+		id, prefix = hashJSON(optimizeHashable{*opt, norm.Fault, s.cfg.GitCommit}), "opt-"
+	}
 	// The run ID derives from the hash so a cold run and a cache hit
 	// (and an uninterrupted vs. drained-and-resumed run) produce
-	// byte-identical summary.json.
-	norm.RunID = "job-" + id[:12]
+	// byte-identical summary.json and pareto.json.
+	norm.RunID = prefix + id[:12]
 	if s.cfg.Workers > 0 {
 		norm.Workers = s.cfg.Workers
 	}
@@ -435,6 +458,7 @@ func (s *Server) Submit(spec campaign.Spec) (*job, bool, error) {
 
 	dir := filepath.Join(s.cfg.Root, id)
 	j := newJob(id, norm, dir)
+	j.opt = opt
 	j.created = time.Now()
 	if err := s.persist(j); err != nil {
 		return nil, false, err
@@ -506,8 +530,8 @@ func (s *Server) Jobs() []JobStatus {
 // daemon's own gauges write through it).
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
-// runJob executes one campaign through the engine, reporting progress
-// into the job and the metrics registry.
+// runJob executes one job, reporting progress into the job and the
+// metrics registry.
 func (s *Server) runJob(j *job) {
 	s.mQueued.Add(-1)
 	s.mRunning.Add(1)
@@ -515,9 +539,44 @@ func (s *Server) runJob(j *job) {
 	s.mQueueWait.Observe(time.Since(j.created).Seconds())
 	j.setState(StateRunning, nil)
 	s.persist(j)
-	s.log.Debug("job starting", "job", j.id,
+	s.log.Debug("job starting", "job", j.id, "search", j.opt != nil,
 		"cells", len(j.spec.Cells()), "injections", j.spec.Fault.Injections, "resume", j.resume)
 
+	start := time.Now()
+	run := s.runCampaign
+	if j.opt != nil {
+		run = s.runSearch
+	}
+	resumed, err := run(j)
+	switch {
+	case err != nil && s.runCtx.Err() != nil:
+		// Drain: a campaign's journal holds every completed injection;
+		// a restarted daemon requeues this job (as a resume when a
+		// manifest exists).
+		j.setState(StateInterrupted, nil)
+		s.persist(j)
+		s.log.Info("job interrupted by drain", "job", j.id, "resumable", hasManifest(j.dir))
+	case err != nil:
+		s.mFailed.Inc()
+		j.setState(StateFailed, err)
+		s.persist(j)
+		s.log.Error("job failed", "job", j.id, "err", err)
+	default:
+		j.mu.Lock()
+		j.resumed = resumed
+		j.done = j.total
+		j.mu.Unlock()
+		s.mExecuted.Inc()
+		j.setState(StateDone, nil)
+		s.persist(j)
+		s.log.Info("job done", "job", j.id, "elapsed", time.Since(start).Round(time.Millisecond), "resumed", resumed)
+	}
+}
+
+// runCampaign executes a campaign job through the engine (or the
+// configured Runner) and returns how many injections it replayed from
+// the journal.
+func (s *Server) runCampaign(j *job) (int, error) {
 	// Register the job's labeled series up front so a scrape during the
 	// run (or after a run with zero detections) still renders them.
 	for _, c := range j.spec.Cells() {
@@ -554,29 +613,11 @@ func (s *Server) runJob(j *job) {
 		}
 	}
 	out, err := run(s.runCtx, eng, j.dir, j.resume)
-	switch {
-	case err != nil && s.runCtx.Err() != nil:
-		// Drain: the journal holds every completed injection; a
-		// restarted daemon requeues this job as a resume.
-		j.setState(StateInterrupted, nil)
-		s.persist(j)
-		s.log.Info("job interrupted by drain", "job", j.id, "journal", filepath.Join(j.dir, campaign.JournalName))
-	case err != nil:
-		s.mFailed.Inc()
-		j.setState(StateFailed, err)
-		s.persist(j)
-		s.log.Error("job failed", "job", j.id, "err", err)
-	default:
-		j.mu.Lock()
-		j.resumed = out.Resumed
-		j.done = j.total
-		j.mu.Unlock()
-		s.mExecuted.Inc()
-		s.recordSummary(out.Summary)
-		j.setState(StateDone, nil)
-		s.persist(j)
-		s.log.Info("job done", "job", j.id, "elapsed", out.Elapsed.Round(time.Millisecond), "resumed", out.Resumed)
+	if err != nil {
+		return 0, err
 	}
+	s.recordSummary(out.Summary)
+	return out.Resumed, nil
 }
 
 // recordSummary feeds per-cell results into the labeled gauges.
@@ -600,6 +641,7 @@ func (s *Server) persist(j *job) error {
 		SpecHash:  j.id,
 		State:     j.state,
 		Spec:      j.spec,
+		Optimize:  j.opt,
 		CreatedAt: j.created.UTC().Format(time.RFC3339),
 	}
 	if j.err != nil {
@@ -633,16 +675,6 @@ func (s *Server) scrape() {
 		s.mInjRate.Set((cur - s.rateLastInj) / dt)
 	}
 	s.rateLastTime, s.rateLastInj = now, cur
-}
-
-// bundleComplete reports whether dir holds every post-run artifact.
-func bundleComplete(dir string) bool {
-	for _, f := range []string{campaign.ManifestName, campaign.ResultsName, campaign.SummaryName, campaign.ReportName} {
-		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
-			return false
-		}
-	}
-	return true
 }
 
 // hasManifest reports whether dir can be resumed (the engine writes

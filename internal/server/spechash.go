@@ -125,14 +125,21 @@ type specHashable struct {
 // canonical spec JSON plus gitCommit. Two submissions hash equal iff a
 // byte-identical bundle would serve both.
 func SpecHash(spec campaign.Spec, gitCommit string) string {
-	b, err := json.Marshal(specHashable{
+	return hashJSON(specHashable{
 		Cells:  spec.Cells(),
 		Fault:  spec.Fault,
 		Commit: gitCommit,
 	})
+}
+
+// hashJSON is the daemon's job identity function: the hex SHA-256 of
+// v's JSON encoding, truncated to 24 chars. Struct fields encode in
+// declaration order, so the encoding of plain data is canonical.
+func hashJSON(v any) string {
+	b, err := json.Marshal(v)
 	if err != nil {
-		// Spec and Config are plain data; Marshal cannot fail on them.
-		panic(fmt.Sprintf("server: spec hash marshal: %v", err))
+		// Job identities are plain data; Marshal cannot fail on them.
+		panic(fmt.Sprintf("server: job hash marshal: %v", err))
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])[:24]

@@ -2,8 +2,10 @@
 # Pareto-search round trip (docs/OPTIMIZE.md): run a small seeded
 # fhcampaign -optimize twice at different worker counts and require
 # byte-identical artifacts, validate them against the pareto/v1
-# contract, then drive the daemon's POST /v1/optimize and require the
-# repeat to come from the request-hash cache. Exits non-zero on any
+# contract, then submit the same search to the daemon as a job
+# (POST /v1/optimize): the first request must be a new job whose
+# pareto.csv equals the local run's, and the repeat a cache hit whose
+# bundle pareto.json is byte-identical. Exits non-zero on any
 # failure. (-f: $SEARCH is word-split on purpose and carries a literal
 # 'gen?seg=16k' that must not glob.)
 set -euf
@@ -46,19 +48,50 @@ for i in $(seq 1 50); do
 done
 
 REQ='{"benchmarks":["gen?seg=16k"],"schemes":["faulthound?tcam=8"],"budget":3,"seed":7,"params":["tcam"],"injections":48}'
-echo "== POST /v1/optimize =="
-curl -sf -D "$TMP/h1" -d "$REQ" "http://$ADDR/v1/optimize" >"$TMP/opt-daemon.json"
-grep -qi 'X-Faulthound-Optimize-Cache: miss' "$TMP/h1" \
-    || { echo "first request was not a cache miss"; cat "$TMP/h1"; exit 1; }
+
+# post writes the POST /v1/optimize response to $1 and prints the HTTP
+# status; a search is a job, answered like a campaign submission.
+post() {
+    curl -s -o "$1" -w '%{http_code}' -d "$REQ" "http://$ADDR/v1/optimize"
+}
+
+echo "== POST /v1/optimize (must be a new job) =="
+CODE="$(post "$TMP/st1.json")"
+[ "$CODE" = 202 ] || { echo "first request: HTTP $CODE, want 202"; cat "$TMP/st1.json"; exit 1; }
+grep -q '"cache_hit": *true' "$TMP/st1.json" \
+    && { echo "first request was a cache hit"; cat "$TMP/st1.json"; exit 1; }
+ID="$(sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' "$TMP/st1.json")"
+[ -n "$ID" ] || { echo "no job id in the response"; cat "$TMP/st1.json"; exit 1; }
+
+echo "== following job $ID to completion =="
+curl -sfN "http://$ADDR/v1/campaigns/$ID/events" | tail -1 | grep -q '"state":"done"' \
+    || { echo "search job did not end done"; curl -s "http://$ADDR/v1/campaigns/$ID"; exit 1; }
+curl -sf "http://$ADDR/v1/campaigns/$ID/bundle/pareto.json" >"$TMP/opt-daemon.json"
 grep -q '"schema_version": "faulthound.pareto/v1"' "$TMP/opt-daemon.json" \
-    || { echo "daemon response is not a pareto report"; head "$TMP/opt-daemon.json"; exit 1; }
+    || { echo "bundle pareto.json is not a pareto report"; head "$TMP/opt-daemon.json"; exit 1; }
+
+echo "== daemon pareto.csv equals the local -workers 4 run's =="
+curl -sf "http://$ADDR/v1/campaigns/$ID/bundle/pareto.csv" >"$TMP/opt-daemon.csv"
+cmp "$TMP/opt-daemon.csv" "$TMP/opt-w4/pareto.csv" \
+    || { echo "daemon and local searches disagree"; diff "$TMP/opt-daemon.csv" "$TMP/opt-w4/pareto.csv"; exit 1; }
 
 echo "== repeat (must be a cache hit) =="
-curl -sf -D "$TMP/h2" -d "$REQ" "http://$ADDR/v1/optimize" >"$TMP/opt-daemon2.json"
-grep -qi 'X-Faulthound-Optimize-Cache: hit' "$TMP/h2" \
-    || { echo "repeat was not a cache hit"; cat "$TMP/h2"; exit 1; }
+CODE="$(post "$TMP/st2.json")"
+[ "$CODE" = 200 ] || { echo "repeat: HTTP $CODE, want 200"; cat "$TMP/st2.json"; exit 1; }
+grep -q '"cache_hit": *true' "$TMP/st2.json" \
+    || { echo "repeat was not a cache hit"; cat "$TMP/st2.json"; exit 1; }
+grep -q "\"id\": *\"$ID\"" "$TMP/st2.json" \
+    || { echo "repeat attached to a different job"; cat "$TMP/st2.json"; exit 1; }
+curl -sf "http://$ADDR/v1/campaigns/$ID/bundle/pareto.json" >"$TMP/opt-daemon2.json"
 cmp "$TMP/opt-daemon.json" "$TMP/opt-daemon2.json" \
     || { echo "cached repeat returned different bytes"; exit 1; }
+
+echo "== fhcampaign -optimize -addr writes the daemon's artifacts =="
+"$TMP/fhcampaign" $SEARCH -addr "$ADDR" -out "$TMP/opt-remote"
+cmp "$TMP/opt-remote/pareto.csv" "$TMP/opt-w4/pareto.csv" \
+    || { echo "fhcampaign -addr pareto.csv differs from the local run's"; exit 1; }
+cmp "$TMP/opt-remote/pareto.json" "$TMP/opt-daemon.json" \
+    || { echo "fhcampaign -addr pareto.json differs from the daemon's bundle"; exit 1; }
 
 echo "== draining =="
 kill -TERM "$SERVED_PID"

@@ -1,8 +1,10 @@
 #!/bin/sh
 # Daemon round trip: build fhserved + fhcampaign, start the daemon on
 # a scratch data root, submit a small campaign over HTTP twice (the
-# second must be a cache hit), verify the bundle artifacts, and drain
-# with SIGTERM. Exits non-zero on any failure.
+# second must be a cache hit), verify the bundle artifacts, drain with
+# SIGTERM while a client follows a running job's event stream (the exit
+# must be prompt and the job interrupted), and restart to resume it.
+# Exits non-zero on any failure.
 set -eu
 
 ADDR="${SMOKE_ADDR:-127.0.0.1:18419}"
@@ -53,6 +55,45 @@ for series in \
     grep -q "$series" "$TMP/metrics.txt" \
         || { echo "metrics missing series: $series"; cat "$TMP/metrics.txt"; exit 1; }
 done
+
+# A SIGTERM must drain promptly even with a client following a
+# running job's event stream: the drain interrupts the job, which ends
+# the stream, so the HTTP shutdown has no handler left to wait for.
+echo "== SIGTERM with an /events watcher attached =="
+BIG='{"benchmarks":["bzip2","mcf"],"schemes":["faulthound"],"fault":{"Injections":4000}}'
+BIGID="$(curl -sf -d "$BIG" "http://$ADDR/v1/campaigns" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')"
+[ -n "$BIGID" ] || { echo "large campaign not accepted"; exit 1; }
+curl -sN "http://$ADDR/v1/campaigns/$BIGID/events" >"$TMP/events.jsonl" 2>/dev/null &
+WATCH_PID=$!
+for i in $(seq 1 300); do
+    DONE="$(curl -sf "http://$ADDR/v1/campaigns/$BIGID" | sed -n 's/.*"done": *\([0-9]*\).*/\1/p')"
+    [ "${DONE:-0}" -ge 200 ] && break
+    [ "$i" = 300 ] && { echo "large campaign made no progress"; cat "$TMP/served.log"; exit 1; }
+    sleep 0.1
+done
+kill -TERM "$SERVED_PID"
+for i in $(seq 1 50); do
+    kill -0 "$SERVED_PID" 2>/dev/null || break
+    [ "$i" = 50 ] && { echo "daemon with a watcher attached did not exit within 5 s"; exit 1; }
+    sleep 0.1
+done
+wait "$WATCH_PID" 2>/dev/null || true
+grep -q '"state": *"interrupted"' "$TMP/data/$BIGID/status.json" \
+    || { echo "drained job is not interrupted:"; cat "$TMP/data/$BIGID/status.json"; exit 1; }
+tail -1 "$TMP/events.jsonl" | grep -q '"state":"interrupted"' \
+    || { echo "watcher's stream did not end at the interrupted state:"; tail -3 "$TMP/events.jsonl"; exit 1; }
+
+echo "== restart resumes the interrupted job =="
+"$TMP/fhserved" -addr "$ADDR" -data "$TMP/data" -quick -v >"$TMP/served2.log" 2>&1 &
+SERVED_PID=$!
+for i in $(seq 1 600); do
+    STATUS="$(curl -sf "http://$ADDR/v1/campaigns/$BIGID" || true)"
+    echo "$STATUS" | grep -q '"state": *"done"' && break
+    [ "$i" = 600 ] && { echo "resumed job did not finish:"; echo "$STATUS"; cat "$TMP/served2.log"; exit 1; }
+    sleep 0.1
+done
+echo "$STATUS" | grep -q '"resumed": *[1-9]' \
+    || { echo "restarted job replayed no journal records:"; echo "$STATUS"; exit 1; }
 
 echo "== draining =="
 kill -TERM "$SERVED_PID"
