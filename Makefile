@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race bench bench-json report gates check-results campaign serve smoke-server smoke-cluster smoke-wgen smoke-optimize trace-demo experiments extensions quick clean
+.PHONY: all build test vet lint race bench bench-json report gates check-results campaign serve smoke-server smoke-cluster smoke-wgen smoke-optimize fuzz-smoke trace-demo experiments extensions quick clean
 
 all: lint test build
 
@@ -26,6 +26,13 @@ lint: vet
 	else \
 		echo "lint: staticcheck not installed; skipped (CI runs it)"; \
 	fi
+
+# Native fuzzing smoke: ten seconds of FuzzSchemeSpec beyond the
+# committed seed corpus (internal/scheme/testdata/fuzz), which a plain
+# `go test` already replays. A failing input is written into that
+# corpus directory; commit it with the fix as a regression seed.
+fuzz-smoke:
+	$(GO) test ./internal/scheme/ -run '^$$' -fuzz '^FuzzSchemeSpec$$' -fuzztime 10s
 
 race:
 	$(GO) test -race ./internal/workload/ ./internal/wgen/ ./internal/system/ \

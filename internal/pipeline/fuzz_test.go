@@ -43,7 +43,8 @@ func TestFuzzPipelineVsInterp(t *testing.T) {
 				t.Fatalf("seed %d: reg %s = %#x, reference %#x", seed, isa.Reg(r), regs[r], it.Regs[r])
 			}
 		}
-		for a, v := range it.Mem {
+		for i, v := range it.Mem {
+			a := it.Prog.DataBase + 8*uint64(i)
 			got, err := c.memory.Read(a)
 			if err != nil || got != v {
 				t.Fatalf("seed %d: mem[%#x] = %d, reference %d", seed, a, got, v)

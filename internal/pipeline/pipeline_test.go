@@ -123,7 +123,8 @@ func TestPipelineMatchesInterpMemory(t *testing.T) {
 		t.Fatalf("checksum = %d, interp %d", regs[6], it.Regs[6])
 	}
 	// Memory writes must match the interpreter's.
-	for a, v := range it.Mem {
+	for i, v := range it.Mem {
+		a := it.Prog.DataBase + 8*uint64(i)
 		got, err := core.memory.Read(a)
 		if err != nil || got != v {
 			t.Errorf("mem[%#x] = %d, interp %d (%v)", a, got, v, err)

@@ -14,7 +14,10 @@ type Interp struct {
 	Prog *Program
 	PC   uint64
 	Regs [isa.NumArchRegs]uint64
-	Mem  map[uint64]uint64
+	// Mem is the data segment as a flat word array: Mem[i] holds the
+	// 64-bit word at DataBase+8i. Every access is bounds-checked by the
+	// segment test first, so a load or store is one index.
+	Mem []uint64
 	// Halted reports that a HALT instruction was executed.
 	Halted bool
 	// Steps counts executed instructions.
@@ -26,12 +29,15 @@ type Interp struct {
 // NewInterp creates an interpreter positioned at the program entry with
 // the initial data image loaded.
 func NewInterp(p *Program) *Interp {
-	m := make(map[uint64]uint64, len(p.Data))
+	m := make([]uint64, p.DataSize/8)
 	for a, v := range p.Data {
-		m[a] = v
+		m[(a-p.DataBase)/8] = v
 	}
 	return &Interp{Prog: p, PC: p.Entry, Mem: m}
 }
+
+// word returns the Mem index of the in-segment address addr.
+func (it *Interp) word(addr uint64) uint64 { return (addr - it.Prog.DataBase) / 8 }
 
 // inSegment reports whether an 8-byte access at addr is mapped.
 func (it *Interp) inSegment(addr uint64) bool {
@@ -62,24 +68,25 @@ func (it *Interp) Step() bool {
 			it.Faulted = fmt.Errorf("load translation exception at %#x", out.EffAddr)
 			return false
 		}
-		it.write(in.Rd, it.Mem[out.EffAddr])
+		it.write(in.Rd, it.Mem[it.word(out.EffAddr)])
 	case in.Op == isa.ST:
 		if !it.inSegment(out.EffAddr) {
 			it.Faulted = fmt.Errorf("store translation exception at %#x", out.EffAddr)
 			return false
 		}
-		it.Mem[out.EffAddr] = out.Value
+		it.Mem[it.word(out.EffAddr)] = out.Value
 	case in.IsAtomic():
 		if !it.inSegment(out.EffAddr) {
 			it.Faulted = fmt.Errorf("atomic translation exception at %#x", out.EffAddr)
 			return false
 		}
-		old := it.Mem[out.EffAddr]
+		w := it.word(out.EffAddr)
+		old := it.Mem[w]
 		it.write(in.Rd, old)
 		if in.Op == isa.AMOADD {
-			it.Mem[out.EffAddr] = old + out.Value
+			it.Mem[w] = old + out.Value
 		} else {
-			it.Mem[out.EffAddr] = out.Value
+			it.Mem[w] = out.Value
 		}
 	case in.HasDest():
 		it.write(in.Rd, out.Value)

@@ -143,7 +143,7 @@ func TestInterpMemory(t *testing.T) {
 	if it.Regs[3] != 42 {
 		t.Fatalf("r3 = %d, want 42", it.Regs[3])
 	}
-	if it.Mem[it.Prog.DataBase+8] != 42 {
+	if it.Mem[1] != 42 {
 		t.Fatal("store not visible in memory")
 	}
 }

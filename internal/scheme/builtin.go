@@ -1,6 +1,7 @@
 package scheme
 
 import (
+	"fmt"
 	"strconv"
 
 	"faulthound/internal/core"
@@ -9,6 +10,7 @@ import (
 	"faulthound/internal/pipeline"
 	"faulthound/internal/pspec"
 	"faulthound/internal/srt"
+	"faulthound/internal/tcam"
 )
 
 // This file registers the schemes of the paper's evaluation. Every
@@ -55,6 +57,10 @@ func registerFH(name, help string, base func() core.Config, params ...pspec.Para
 		Help:   help,
 		Params: append([]pspec.Param{paramTCAM, paramDelay, paramLoosen}, params...),
 		Build: func(sp Spec, v pspec.Values, _ Env) (Instance, error) {
+			if n := v.Int("tcam"); n > tcam.MaxEntries {
+				return Instance{}, &pspec.BadSpecError{Domain: Domain, Spec: sp.String(),
+					Reason: fmt.Sprintf("tcam %d exceeds the maximum %d", n, tcam.MaxEntries)}
+			}
 			cfg := base()
 			pipe := fhApply(&cfg, sp, v)
 			if hasParam(v, "lsq") {

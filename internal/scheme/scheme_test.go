@@ -231,6 +231,14 @@ func TestBuildInstances(t *testing.T) {
 	if _, err := Build(FromString("faulthound?tcam=zap"), Env{}); err == nil {
 		t.Error("Build accepted a bad parameter value")
 	}
+	// A TCAM holds at most tcam.MaxEntries filters: a larger size is a
+	// spec error at Build, not a panic in the detector constructor.
+	if _, err := Build(MustParse("faulthound?tcam=65"), Env{}); !IsSpecError(err) {
+		t.Errorf("Build(faulthound?tcam=65) = %v, want a scheme spec error", err)
+	}
+	if _, err := Build(MustParse("faulthound?tcam=64"), Env{}); err != nil {
+		t.Errorf("Build(faulthound?tcam=64): %v", err)
+	}
 }
 
 // TestResolvedAndMetadata: the self-describing forms cover every

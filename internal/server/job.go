@@ -188,6 +188,16 @@ func (j *job) broadcastLocked(ev Event) {
 // interrupted) states close doneCh.
 func (j *job) setState(state string, err error) {
 	j.mu.Lock()
+	j.recordLocked(state, err)
+	done := j.publishLocked()
+	j.mu.Unlock()
+	closeDone(done)
+}
+
+// recordLocked applies a state transition without notifying anyone;
+// publishLocked announces it. Splitting the two lets the daemon write a
+// terminal state to status.json in between, under the same lock.
+func (j *job) recordLocked(state string, err error) {
 	j.state = state
 	j.err = err
 	switch state {
@@ -196,19 +206,30 @@ func (j *job) setState(state string, err error) {
 	case StateDone, StateFailed, StateInterrupted:
 		j.finished = time.Now()
 	}
+}
+
+// publishLocked broadcasts the current state to subscribers. For a
+// terminal (or interrupted) state it returns doneCh, which the caller
+// closes with closeDone once it has released j.mu; otherwise nil.
+func (j *job) publishLocked() chan struct{} {
 	j.broadcastLocked(j.eventLocked("state"))
-	terminal := state == StateDone || state == StateFailed || state == StateInterrupted
-	var doneCh chan struct{}
-	if terminal {
-		doneCh = j.doneCh
+	switch j.state {
+	case StateDone, StateFailed, StateInterrupted:
+		return j.doneCh
 	}
-	j.mu.Unlock()
-	if doneCh != nil {
-		select {
-		case <-doneCh:
-		default:
-			close(doneCh)
-		}
+	return nil
+}
+
+// closeDone closes a doneCh returned by publishLocked; nil and an
+// already-closed channel are no-ops.
+func closeDone(doneCh chan struct{}) {
+	if doneCh == nil {
+		return
+	}
+	select {
+	case <-doneCh:
+	default:
+		close(doneCh)
 	}
 }
 

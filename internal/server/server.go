@@ -553,13 +553,11 @@ func (s *Server) runJob(j *job) {
 		// Drain: a campaign's journal holds every completed injection;
 		// a restarted daemon requeues this job (as a resume when a
 		// manifest exists).
-		j.setState(StateInterrupted, nil)
-		s.persist(j)
+		s.settle(j, StateInterrupted, nil)
 		s.log.Info("job interrupted by drain", "job", j.id, "resumable", hasManifest(j.dir))
 	case err != nil:
 		s.mFailed.Inc()
-		j.setState(StateFailed, err)
-		s.persist(j)
+		s.settle(j, StateFailed, err)
 		s.log.Error("job failed", "job", j.id, "err", err)
 	default:
 		j.mu.Lock()
@@ -567,10 +565,26 @@ func (s *Server) runJob(j *job) {
 		j.done = j.total
 		j.mu.Unlock()
 		s.mExecuted.Inc()
-		j.setState(StateDone, nil)
-		s.persist(j)
+		s.settle(j, StateDone, nil)
 		s.log.Info("job done", "job", j.id, "elapsed", time.Since(start).Round(time.Millisecond), "resumed", resumed)
 	}
+}
+
+// settle moves j to a terminal (or interrupted) state. The state is
+// written to status.json under the job lock, before any reader can see
+// it and before it is broadcast and doneCh closes, so a client that has
+// seen it — polled, streamed, or returned by Watch — can restart the
+// daemon and find it on disk.
+func (s *Server) settle(j *job, state string, err error) {
+	j.mu.Lock()
+	j.recordLocked(state, err)
+	werr := j.writeStatusLocked()
+	done := j.publishLocked()
+	j.mu.Unlock()
+	if werr != nil {
+		s.log.Warn("writing status file failed", "job", j.id, "err", werr)
+	}
+	closeDone(done)
 }
 
 // runCampaign executes a campaign job through the engine (or the
@@ -637,6 +651,17 @@ func (s *Server) recordSummary(sum *campaign.Summary) {
 // churn; the next transition rewrites it).
 func (s *Server) persist(j *job) error {
 	j.mu.Lock()
+	err := j.writeStatusLocked()
+	j.mu.Unlock()
+	if err != nil {
+		s.log.Warn("writing status file failed", "job", j.id, "err", err)
+	}
+	return err
+}
+
+// writeStatusLocked writes status.json from the job's current state;
+// j.mu must be held.
+func (j *job) writeStatusLocked() error {
 	ps := persistedStatus{
 		SpecHash:  j.id,
 		State:     j.state,
@@ -650,13 +675,7 @@ func (s *Server) persist(j *job) error {
 	if !j.finished.IsZero() {
 		ps.FinishedAt = j.finished.UTC().Format(time.RFC3339)
 	}
-	dir := j.dir
-	j.mu.Unlock()
-	if err := campaign.WriteJSONFile(filepath.Join(dir, StatusName), ps); err != nil {
-		s.log.Warn("writing status file failed", "job", ps.SpecHash, "err", err)
-		return err
-	}
-	return nil
+	return campaign.WriteJSONFile(filepath.Join(j.dir, StatusName), ps)
 }
 
 // scrape refreshes the derived series the /metrics handler serves:

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -545,4 +547,68 @@ func readAll(t *testing.T, resp *http.Response) string {
 		}
 	}
 	return sb.String()
+}
+
+// TestTerminalStateOnDiskWhenStreamEnds: the moment a Watch or an
+// events stream ends, status.json already holds the terminal state, so
+// a client that restarts the daemon on seeing "done" or "failed" never
+// finds the job requeued.
+func TestTerminalStateOnDiskWhenStreamEnds(t *testing.T) {
+	for _, want := range []string{StateDone, StateFailed} {
+		t.Run(want, func(t *testing.T) {
+			cfg := testConfig(t)
+			cfg.Runner = func(context.Context, *campaign.Engine, string, bool) (*campaign.Outcome, error) {
+				if want == StateFailed {
+					return nil, errors.New("runner failed")
+				}
+				return &campaign.Outcome{Summary: &campaign.Summary{}}, nil
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Drain(context.Background())
+			s.Start()
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			cl := NewClient(ts.URL)
+			ctx := context.Background()
+
+			onDisk := func(id string) string {
+				var ps persistedStatus
+				if err := json.Unmarshal(readFile(t, filepath.Join(cfg.Root, id, StatusName)), &ps); err != nil {
+					t.Fatal(err)
+				}
+				return ps.State
+			}
+			for i := 1; i <= 8; i++ {
+				st, err := cl.Submit(ctx, testSpec(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var last string
+				if i%2 == 0 {
+					final, err := cl.Watch(ctx, st.ID, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					last = final.State
+				} else {
+					resp, err := http.Get(ts.URL + "/v1/campaigns/" + st.ID + "/events")
+					if err != nil {
+						t.Fatal(err)
+					}
+					lines := strings.Split(strings.TrimSpace(readAll(t, resp)), "\n")
+					var ev Event
+					if err := json.Unmarshal([]byte(lines[len(lines)-1]), &ev); err != nil {
+						t.Fatal(err)
+					}
+					last = ev.State
+				}
+				if got := onDisk(st.ID); last != want || got != want {
+					t.Fatalf("job %d: stream ended at %q with status.json at %q, want %q", i, last, got, want)
+				}
+			}
+		})
+	}
 }

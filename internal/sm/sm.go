@@ -12,15 +12,16 @@
 //     only a single change to leave it. Exiting "unchanging" raises the
 //     alarm; a change in the intermediate state does not (the paper's
 //     deliberate, small coverage loss).
-//   - Suppressor: the N-state biased alarm machine used by the
-//     second-level filter (one per bit position, Section 3.2) and by the
-//     squash state machines (one per first-level filter, Section 3.4). It
-//     allows an alarm through only after several consecutive no-alarm
-//     observations.
+//   - Suppressor: the N-state biased alarm machine of the second-level
+//     filter (one per bit position, Section 3.2) and of the squash state
+//     machines (one per first-level filter, Section 3.4). It allows an
+//     alarm through only after several consecutive no-alarm
+//     observations. The TCAM stores these banks as last-participation
+//     stamps; Suppressor is their scalar reference model.
 //
-// All machines implement ChangeTracker so filters can be parameterized
-// for the PBFS/PBFS-biased/FaultHound comparisons and for the
-// state-machine ablation benches.
+// Sticky, Standard and Biased implement ChangeTracker so filters can be
+// parameterized for the PBFS/PBFS-biased/FaultHound comparisons and for
+// the state-machine ablation benches.
 package sm
 
 // Alarm reports whether an observation raised the machine's alarm (a
@@ -160,6 +161,12 @@ func (b *Biased) Depth() int { return b.depth }
 // seen Quiet consecutive non-participations; any participation re-arms
 // the full quiet requirement. With 8 states the paper requires 7
 // consecutive no-alarms.
+//
+// Suppressor is the scalar reference model for the TCAM's suppressor
+// banks: package tcam stores each bank as last-participation stamps
+// (state = max(states-1-(observations since the last participation),
+// 0)) and is tested in lockstep against a bank of Suppressors, as
+// package filter's bit planes are tested against the machines above.
 type Suppressor struct {
 	state  int // 0 = fully quiet (allow); >0 = recently alarmed
 	states int
@@ -173,20 +180,6 @@ func NewSuppressor(n int) *Suppressor {
 		panic("sm: Suppressor needs at least 2 states")
 	}
 	return &Suppressor{states: n}
-}
-
-// NewSuppressors returns a bank of n suppressors with the given state
-// count as one flat allocation — the TCAM stores its second-level and
-// squash machines this way so cloning a detector is a bulk copy.
-func NewSuppressors(n, states int) []Suppressor {
-	if states < 2 {
-		panic("sm: Suppressor needs at least 2 states")
-	}
-	bank := make([]Suppressor, n)
-	for i := range bank {
-		bank[i].states = states
-	}
-	return bank
 }
 
 // Observe records one trigger-time observation and reports whether a

@@ -5,13 +5,25 @@
 // second-level filter that masks delinquent bit positions (Section 3.2)
 // and the per-entry squash state machines that distinguish rename
 // faults from false positives (Section 3.4).
+//
+// Both suppressor banks are stored as last-participation stamps rather
+// than as explicit state machines. A bank keeps one observation counter
+// n, bumped once per trigger the bank observes, and one stamp per entry
+// holding n at that entry's last participation. An sm.Suppressor with S
+// states is then in state max(S-1-(n-last), 0): a participation is
+// allowed when n-last >= S (counting the bump for the current trigger),
+// and the entry is quiet when n-last >= S-1. Non-participating entries
+// need no update, so a trigger costs work in its mismatch bits (second
+// level) and one entry (squash) instead of 64 + Entries machine steps.
+// The counters start at S so untouched entries begin quiet.
+// sm.Suppressor remains the scalar reference model the banks are tested
+// against.
 package tcam
 
 import (
 	"math/bits"
 
 	"faulthound/internal/filter"
-	"faulthound/internal/sm"
 )
 
 // Config sizes one TCAM (the paper uses two: one for load/store
@@ -112,21 +124,30 @@ type TCAM struct {
 	used    uint64 // bit i set = entry i holds a live filter
 	age     []uint64
 	stamp   uint64
-	second  []sm.Suppressor // one per bit position
-	squash  []sm.Suppressor // one per entry
-	stats   Stats
+	// Suppressor banks as last-participation stamps (see the package
+	// doc): secondLast holds one stamp per bit position, squashLast one
+	// per entry; secondN and squashN are the banks' observation
+	// counters. A nil bank is disabled.
+	secondLast []uint64
+	squashLast []uint64
+	secondN    uint64
+	squashN    uint64
+	stats      Stats
 	// learnOnly suppresses trigger actions while filters keep learning
 	// (FaultHound ignores triggers during replay, Section 3.3).
 	learnOnly bool
 }
 
-// New creates a TCAM from cfg. Entries is capped at 64 by the used
-// bitmask; the paper's design space tops out at 32 (Table 2).
+// MaxEntries caps Config.Entries: the used bitmask has one bit per
+// entry. The paper's design space tops out at 32 (Table 2).
+const MaxEntries = 64
+
+// New creates a TCAM from cfg; Entries must be in [1, MaxEntries].
 func New(cfg Config) *TCAM {
 	if cfg.Entries <= 0 {
 		panic("tcam: need at least one entry")
 	}
-	if cfg.Entries > 64 {
+	if cfg.Entries > MaxEntries {
 		panic("tcam: at most 64 entries (used bitmask)")
 	}
 	t := &TCAM{
@@ -138,12 +159,24 @@ func New(cfg Config) *TCAM {
 		t.filters[i] = filter.Make(cfg.Policy, 0)
 	}
 	if cfg.SecondLevel {
-		t.second = sm.NewSuppressors(64, cfg.SecondLevelStates)
+		t.secondLast = make([]uint64, 64)
+		t.secondN = suppressorStates(cfg.SecondLevelStates)
 	}
 	if cfg.SquashMachines {
-		t.squash = sm.NewSuppressors(cfg.Entries, cfg.SquashStates)
+		t.squashLast = make([]uint64, cfg.Entries)
+		t.squashN = suppressorStates(cfg.SquashStates)
 	}
 	return t
+}
+
+// suppressorStates validates a suppressor bank's state count as
+// sm.NewSuppressor does and returns it as the bank's starting
+// observation counter, so every never-participated entry starts quiet.
+func suppressorStates(n int) uint64 {
+	if n < 2 {
+		panic("tcam: a suppressor bank needs at least 2 states")
+	}
+	return uint64(n)
 }
 
 // Config returns the TCAM configuration.
@@ -247,22 +280,23 @@ func (t *TCAM) Lookup(v uint64) Result {
 	// drift re-offends in the same (delinquent) bit positions and is
 	// suppressed; a fault — injected or propagated — mismatches mostly
 	// quiet positions and passes (Section 3.2). Every bit's suppressor
-	// is trained regardless.
-	if t.second != nil {
+	// is trained regardless: the bank's counter advances for all of
+	// them, and only the participating bits are re-stamped.
+	if t.secondLast != nil {
 		trainMask := bestMask
 		if t.cfg.SecondLevelUnion {
 			trainMask = unionMask
 		}
+		t.secondN++
+		n, states := t.secondN, uint64(t.cfg.SecondLevelStates)
 		quiet, total := 0, 0
-		for b := range t.second {
-			participated := trainMask>>uint(b)&1 == 1
-			allowed := t.second[b].Observe(participated)
-			if participated {
-				total++
-				if allowed {
-					quiet++
-				}
+		for m := trainMask; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			total++
+			if n-t.secondLast[b] >= states {
+				quiet++
 			}
+			t.secondLast[b] = n
 		}
 		if quiet*2 <= total {
 			res.Suppressed = true
@@ -277,18 +311,16 @@ func (t *TCAM) Lookup(v uint64) Result {
 	// different neighborhood, so only replacement-level triggers (far
 	// from every filter — a real identity change) can escalate; the
 	// small mismatches of natural drift never do.
-	if t.squash != nil {
+	if t.squashLast != nil {
 		minMM := t.cfg.SquashMinMismatch
 		if minMM <= 0 {
 			minMM = t.cfg.LoosenThreshold + 1
 		}
 		wide := bits.OnesCount64(bestMask) >= minMM
-		for i := range t.squash {
-			allowed := t.squash[i].Observe(i == res.BestIndex)
-			if i == res.BestIndex && allowed && wide {
-				res.SquashAllowed = true
-			}
-		}
+		t.squashN++
+		allowed := t.squashN-t.squashLast[res.BestIndex] >= uint64(t.cfg.SquashStates)
+		t.squashLast[res.BestIndex] = t.squashN
+		res.SquashAllowed = allowed && wide
 	}
 	if res.SquashAllowed {
 		t.stats.Squashes++
@@ -347,11 +379,13 @@ func (t *TCAM) Probe(v uint64) (trigger, suppressed bool) {
 			}
 		}
 	}
-	if t.second != nil {
+	if t.secondLast != nil {
+		// Quiet: the bit would be allowed at the bank's next observation.
+		n, states := t.secondN, uint64(t.cfg.SecondLevelStates)
 		quiet, total := 0, 0
 		for m := bestMask; m != 0; m &= m - 1 {
 			total++
-			if t.second[bits.TrailingZeros64(m)].Quiet() {
+			if n-t.secondLast[bits.TrailingZeros64(m)] >= states-1 {
 				quiet++
 			}
 		}
@@ -380,17 +414,12 @@ func (t *TCAM) Entry(i int) (f *filter.Filter, used bool) {
 // Clone returns an independent deep copy. With all state in value
 // slices this is four bulk copies and no per-entry allocation.
 func (t *TCAM) Clone() *TCAM {
-	return &TCAM{
-		cfg:       t.cfg,
-		filters:   append([]filter.Filter(nil), t.filters...),
-		used:      t.used,
-		age:       append([]uint64(nil), t.age...),
-		stamp:     t.stamp,
-		second:    append([]sm.Suppressor(nil), t.second...),
-		squash:    append([]sm.Suppressor(nil), t.squash...),
-		stats:     t.stats,
-		learnOnly: t.learnOnly,
-	}
+	c := *t
+	c.filters = append([]filter.Filter(nil), t.filters...)
+	c.age = append([]uint64(nil), t.age...)
+	c.secondLast = append([]uint64(nil), t.secondLast...)
+	c.squashLast = append([]uint64(nil), t.squashLast...)
+	return &c
 }
 
 // CloneInto overwrites dst with a deep copy of t, reusing dst's slice
@@ -401,15 +430,15 @@ func (t *TCAM) Clone() *TCAM {
 // out of range when an arena is reused across differently-configured
 // cells.
 func (t *TCAM) CloneInto(dst *TCAM) {
-	filters, age, second, squash := dst.filters, dst.age, dst.second, dst.squash
+	filters, age, second, squash := dst.filters, dst.age, dst.secondLast, dst.squashLast
 	*dst = *t
 	dst.filters = append(filters[:0], t.filters...)
 	dst.age = append(age[:0], t.age...)
-	dst.second, dst.squash = nil, nil
-	if t.second != nil {
-		dst.second = append(second[:0], t.second...)
+	dst.secondLast, dst.squashLast = nil, nil
+	if t.secondLast != nil {
+		dst.secondLast = append(second[:0], t.secondLast...)
 	}
-	if t.squash != nil {
-		dst.squash = append(squash[:0], t.squash...)
+	if t.squashLast != nil {
+		dst.squashLast = append(squash[:0], t.squashLast...)
 	}
 }

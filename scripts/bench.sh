@@ -3,7 +3,9 @@
 # BENCH_simcore.json (docs/PERFORMANCE.md).
 #
 # Emits two artifacts under $OUT (default results/bench):
-#   bench.txt           raw `go test -bench` output, benchstat-comparable:
+#   bench.txt           raw `go test -bench` output (including the
+#                         detector-training guards BenchmarkWarmDetector
+#                         and BenchmarkLookupTrigger), benchstat-comparable:
 #                         ./scripts/bench.sh && mv results/bench/bench.txt old.txt
 #                         ... change code ...
 #                         ./scripts/bench.sh
@@ -34,8 +36,11 @@ raw="$OUT/bench.txt"
 
 {
   $GO test -run xxx -benchmem -benchtime "$BENCHTIME" -count "$COUNT" \
-    -bench 'BenchmarkSimCyclesPerSecond$|BenchmarkClone$|BenchmarkSnapshot$|BenchmarkArchHash$' \
+    -bench 'BenchmarkSimCyclesPerSecond$|BenchmarkClone$|BenchmarkSnapshot$|BenchmarkArchHash$|BenchmarkWarmDetector$' \
     ./internal/pipeline/
+  $GO test -run xxx -benchmem -benchtime "$BENCHTIME" -count "$COUNT" \
+    -bench 'BenchmarkLookupTrigger$' \
+    ./internal/tcam/
   $GO test -run xxx -benchmem -benchtime "$BENCHTIME" -count "$COUNT" \
     -bench 'BenchmarkRunOne$|BenchmarkRunOneDeepClone$|BenchmarkPreparedParallel$' \
     ./internal/fault/
